@@ -16,7 +16,6 @@ permutations yield isomorphic lattices exactly when they are equivalent, so
 class counting, diagram counting, and lattice classification line up; the
 test suite checks all of this exhaustively at small sizes.
 """
-from slimlat._kernel import KERNEL_IMPL
 from slimlat.extract import (diagram_count, diagrams_of, extract_permutation,
                              pi1_trajectories, pi2_meet_irreducibles,
                              pi3_source_cells)
@@ -39,7 +38,7 @@ from slimlat.perm import (Permutation, SegmentPartition, canonical_rep,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_IMPL", "__version__",
+    "__version__",
     # perm
     "Permutation", "SegmentPartition", "validate", "is_closed", "segments",
     "rho_equivalent", "rho_class", "canonical_rep", "count_classes",

@@ -12,8 +12,10 @@ with top (i, pi(i)) generates a cover-preserving join-congruence whose
 quotient is a slim semimodular lattice of length n; ``phi0`` returns that
 quotient together with the images of the two grid boundary chains.  The
 collapsed prime intervals admit a closed form (an edge in the c-direction
-with top (i, j) is collapsed iff pi(i) <= j, and dually), which gives a
-second, independent route to the same congruence.
+with top (i, j) is collapsed iff pi(i) <= j, and dually), and ``phi0``
+builds its congruence from that predicate.  The closure from generating
+pairs backs ``congruence_closure``, ``jcong_cell``, ``regenerate`` and the
+``beta_from_perm`` oracle, an independent route to the same congruence.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from slimlat._kernel import closure_labels
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import LengthMismatch, Permutation
 
@@ -205,11 +206,69 @@ class GridCongruence:
 
 # -- constructors ---------------------------------------------------------------
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the blocks of x and y; False when they were already one."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    if rx < ry:
+        parent[ry] = rx
+    else:
+        parent[rx] = ry
+    return True
+
+
+def _canonical_labels(parent: list[int]) -> tuple[int, ...]:
+    """Union-find blocks numbered by first occurrence in flat element order."""
+    canon: dict[int, int] = {}
+    return tuple(canon.setdefault(_find(parent, e), len(canon))
+                 for e in range(len(parent)))
+
+
+def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Canonical labels of the join-congruence generated by pairs of flat
+    indices e = i*(n+1) + j.
+
+    Union-find with a worklist: whenever a pair (x, y) merges two blocks,
+    its translates (x∨z, y∨z) are enqueued for the 2n join-irreducibles
+    z = (k, 0) and (0, k).  Every element is a join of join-irreducibles, so
+    compatibility with them gives compatibility with every join; pairs that
+    merge nothing follow from earlier merges and need no translates.
+    """
+    side = n + 1
+    parent = list(range(side * side))
+    stack = list(pairs)
+    while stack:
+        x, y = stack.pop()
+        if not _union(parent, x, y):
+            continue
+        ix, jx = divmod(x, side)
+        iy, jy = divmod(y, side)
+        for k in range(1, side):
+            # translate by (k, 0), then by (0, k)
+            a = max(ix, k) * side + jx
+            b = max(iy, k) * side + jy
+            if a != b:
+                stack.append((a, b))
+            a = ix * side + max(jx, k)
+            b = iy * side + max(jy, k)
+            if a != b:
+                stack.append((a, b))
+    return _canonical_labels(parent)
+
+
 def congruence_closure(grid: Grid, pairs: Iterable[tuple[Coord, Coord]]
                        ) -> GridCongruence:
     """Smallest join-congruence containing the given pairs."""
     flat = [(grid.index(x), grid.index(y)) for x, y in pairs]
-    return GridCongruence(grid.n, tuple(closure_labels(grid.n, flat)))
+    return GridCongruence(grid.n, _closure_labels(grid.n, flat))
 
 
 def _cell_generators(cell: GridCell) -> list[tuple[Coord, Coord]]:
@@ -226,51 +285,24 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
 
 
 @lru_cache(maxsize=None)
-def _beta_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
-    pairs = []
-    for i, j in enumerate(images, start=1):
-        for x, y in _cell_generators(GridCell(i, j)):
-            pairs.append((x[0] * (n + 1) + x[1], y[0] * (n + 1) + y[1]))
-    return tuple(closure_labels(n, pairs))
-
-
-@lru_cache(maxsize=None)
 def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
     # plain union-find over the collapsed prime intervals; blocks of a
     # join-congruence are convex and join-closed, so its collapsed covering
     # pairs already generate it as an equivalence
     side = n + 1
     parent = list(range(side * side))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     inv = [0] * n
     for i, v in enumerate(images, start=1):
         inv[v - 1] = i
     for i in range(1, side):
         for j in range(side):
             if images[i - 1] <= j:  # c-direction edge ((i-1,j),(i,j))
-                a, b = find((i - 1) * side + j), find(i * side + j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                _union(parent, (i - 1) * side + j, i * side + j)
     for i in range(side):
         for j in range(1, side):
             if inv[j - 1] <= i:  # d-direction edge ((i,j-1),(i,j))
-                a, b = find(i * side + j - 1), find(i * side + j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    canon: dict[int, int] = {}
-    out = []
-    for e in range(side * side):
-        r = find(e)
-        if r not in canon:
-            canon[r] = len(canon)
-        out.append(canon[r])
-    return tuple(out)
+                _union(parent, i * side + j - 1, i * side + j)
+    return _canonical_labels(parent)
 
 
 def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None
@@ -278,16 +310,17 @@ def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None
     """The join of the 4-cell congruences at (i, pi(i)), built by closure.
 
     With check (default: on unless running with -O) the result is compared
-    against the closed-form route; a mismatch means a kernel bug.
+    against the closed-form route; a mismatch means a closure bug.
     """
     if pi.n != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
-    labels = _beta_labels(grid.n, pi.images)
+    kappa = congruence_closure(grid, [pair for i, j in enumerate(pi.images, start=1)
+                                      for pair in _cell_generators(GridCell(i, j))])
     if check is None:
         check = __debug__
-    if check and labels != _formula_labels(grid.n, pi.images):
+    if check and kappa.labels != _formula_labels(grid.n, pi.images):
         raise RuntimeError(f"closure and closed-form congruences differ for {pi.images}")
-    return GridCongruence(grid.n, labels)
+    return kappa
 
 
 def beta_from_formula(grid: Grid, pi: Permutation) -> GridCongruence:
@@ -398,7 +431,7 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
 
 @lru_cache(maxsize=None)
 def _phi0(n: int, images: tuple[int, ...]) -> BorderedDiagram:
-    kappa = GridCongruence(n, _beta_labels(n, images))
+    kappa = GridCongruence(n, _formula_labels(n, images))
     lattice, _ = quotient(kappa)
     side = n + 1
     left = tuple(kappa.labels[i * side] for i in range(side))
@@ -420,8 +453,9 @@ def phi0(pi: Permutation) -> BorderedDiagram:
 def heuristic_layout(pi: Permutation) -> dict[int, tuple[int, int]]:
     """Drawing hints for phi0(pi): y is the height, x the signed offset j - i
     of the block top.  Purely cosmetic; nothing downstream depends on it."""
-    kappa = GridCongruence(pi.n, _beta_labels(pi.n, pi.images))
-    lattice, tops = quotient(kappa)
+    lattice = phi0(pi).lattice
+    # block labels are the element ids of the quotient lattice
+    tops = GridCongruence(pi.n, _formula_labels(pi.n, pi.images)).block_tops()
     return {lab: (tops[lab][1] - tops[lab][0], lattice.height[lab])
             for lab in range(lattice.size)}
 
@@ -441,7 +475,7 @@ def grid_dot(pi: Permutation) -> str:
     congruence drawn dashed."""
     n = pi.n
     g = Grid(n)
-    kappa = GridCongruence(n, _beta_labels(n, pi.images))
+    kappa = GridCongruence(n, _formula_labels(n, pi.images))
     lines = [f"digraph grid{n} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, j in g.elements():
         lines.append(f'  g{i}_{j} [label="{i},{j}"];')

@@ -39,6 +39,10 @@ class TooLarge(ValueError):
     """Input exceeds a configured size cap."""
 
 
+class CoverOutOfRange(ValueError, IndexError):
+    """A cover names an element outside 0..size-1."""
+
+
 class InvalidDiagram(ValueError):
     """Chains do not form a valid bordered diagram of the lattice."""
 
@@ -61,7 +65,7 @@ class FiniteLattice:
         for pair in covers:
             a, b = pair
             if not (0 <= a < size and 0 <= b < size):
-                raise IndexError(f"cover {pair} outside 0..{size - 1}")
+                raise CoverOutOfRange(f"cover {pair} outside 0..{size - 1}")
             if a == b:
                 raise Cyclic(f"self-loop at {a}")
             cover_set.add((a, b))
@@ -538,6 +542,8 @@ def lattice_from_json(obj: dict) -> FiniteLattice:
         covers = [(int(a), int(b)) for a, b in obj["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed lattice object: {exc}") from exc
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ValueError(f"malformed lattice object: size {size!r} is not an integer")
     return FiniteLattice(size, covers)
 
 

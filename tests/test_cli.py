@@ -197,6 +197,21 @@ class TestExportDot:
         assert out.count("->") == 3
 
 
+@pytest.mark.parametrize("command", ["extract", "export-dot"])
+@pytest.mark.parametrize("obj", [
+    {"size": "3", "covers": [[0, 1], [1, 2]], "left_chain": [0, 1, 2], "right_chain": [0, 1, 2]},
+    {"size": 3.0, "covers": [[0, 1], [1, 2]], "left_chain": [0, 1, 2], "right_chain": [0, 1, 2]},
+    {"size": True, "covers": [], "left_chain": [0], "right_chain": [0]},
+    {"size": 2, "covers": [[0, 5]], "left_chain": [0, 1], "right_chain": [0, 1]},
+])
+def test_malformed_diagram_exits_2(capsys, tmp_path, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, command, "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "3")

@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 import oracles
-from slimlat import extract, grid, lattice
+from slimlat import cli, extract, grid, lattice
 from slimlat.grid import Grid, GridCell, GridCongruence
 from slimlat.perm import LengthMismatch, Permutation, segments
 
@@ -69,6 +70,38 @@ class TestClosure:
         g = Grid(2)
         assert grid.congruence_closure(g, []) == GridCongruence.identity(2)
 
+    def test_closure_labels_empty(self):
+        assert grid._closure_labels(0, []) == (0,)
+
+    def test_closure_labels_match_naive_oracle(self):
+        rng = random.Random(9)
+        for n in (1, 2):
+            coords = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+            for _ in range(6):
+                coord_pairs = [(rng.choice(coords), rng.choice(coords))
+                               for _ in range(2)]
+                flat = [(a[0] * (n + 1) + a[1], b[0] * (n + 1) + b[1])
+                        for a, b in coord_pairs]
+                labels = grid._closure_labels(n, flat)
+                blocks: dict[int, set] = {}
+                for e, lab in enumerate(labels):
+                    blocks.setdefault(lab, set()).add(divmod(e, n + 1))
+                got = frozenset(frozenset(b) for b in blocks.values())
+                assert got == oracles.naive_join_closure(n, coord_pairs)
+
+    def test_canonical_labeling(self):
+        # (0,1)~(0,0) propagates to (1,1)~(1,0); labels follow first occurrence
+        kappa = grid.congruence_closure(Grid(1), [((0, 1), (0, 0))])
+        assert kappa.labels == (0, 0, 1, 1)
+
+    def test_merging_top_with_bottom_collapses_everything(self):
+        kappa = grid.congruence_closure(Grid(1), [((1, 1), (0, 0))])
+        assert kappa.labels == (0, 0, 0, 0)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(IndexError):
+            grid.congruence_closure(Grid(1), [((0, 0), (2, 0))])
+
     def test_same_generators_as_cell(self):
         g = Grid(1)
         pairs = [((0, 1), (1, 1)), ((1, 0), (1, 1))]
@@ -85,11 +118,12 @@ class TestClosure:
 
     def test_random_generators_match_naive_oracle(self):
         rng = random.Random(11)
-        for n in (1, 2):
+        for n in (1, 2, 3, 4):
             g = Grid(n)
             coords = list(g.elements())
-            for _ in range(8):
-                pairs = [(rng.choice(coords), rng.choice(coords)) for _ in range(2)]
+            for _ in range(16):
+                pairs = [(rng.choice(coords), rng.choice(coords))
+                         for _ in range(rng.randrange(4))]
                 got = oracles.congruence_blocks(grid.congruence_closure(g, pairs))
                 assert got == oracles.naive_join_closure(n, pairs)
 
@@ -125,7 +159,7 @@ class TestBeta:
         with pytest.raises(LengthMismatch):
             grid.beta_from_perm(Grid(3), Permutation((2, 1)))
 
-    @pytest.mark.parametrize("n", range(0, 5))
+    @pytest.mark.parametrize("n", range(0, 6))
     def test_formula_route_agrees(self, n):
         g = Grid(n)
         for pi in all_perms(n):
@@ -337,6 +371,28 @@ class TestPhi0:
         d = grid.phi0(pi)
         assert set(layout) == set(range(d.lattice.size))
         assert layout[d.lattice.bottom] == (0, 0)
+
+    def test_layout_matches_closure_quotient(self):
+        for n in range(0, 6):
+            for pi in all_perms(n):
+                lat, tops = grid.quotient(grid.beta_from_perm(Grid(n), pi, check=False))
+                expected = {x: (tops[x][1] - tops[x][0], lat.height[x]) for x in range(lat.size)}
+                assert grid.heuristic_layout(pi) == expected
+
+    def test_production_never_runs_the_closure(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("closure called")
+
+        monkeypatch.setattr(grid, "_closure_labels", refuse)
+        grid._phi0.cache_clear()
+        pi = Permutation((3, 1, 4, 2))
+        assert grid.phi0(pi).lattice.size == 8
+        assert len(grid.heuristic_layout(pi)) == 8
+        assert "style=dashed" in grid.grid_dot(pi)
+        assert cli.main(["build", "--perm", "3,1,4,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] == 8
+        with pytest.raises(AssertionError):
+            grid.jcong_cell(Grid(1), GridCell(1, 1))
 
 
 class TestRendering:

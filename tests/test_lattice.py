@@ -38,6 +38,11 @@ class TestFromCovers:
         with pytest.raises(lattice.Cyclic):
             lattice.from_covers(1, [(0, 0)])
 
+    def test_cover_out_of_range(self):
+        with pytest.raises(lattice.CoverOutOfRange) as info:
+            lattice.from_covers(2, [(0, 5)])
+        assert isinstance(info.value, ValueError) and isinstance(info.value, IndexError)
+
     def test_unbounded_rejected(self):
         with pytest.raises(lattice.NotALattice):
             lattice.from_covers(2, [])  # two incomparable points
