@@ -15,7 +15,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from slimlat import extract, grid, groups, lattice, perm
 from slimlat.perm import Permutation
@@ -25,7 +24,7 @@ ENUMERATION_CAP = 9
 PAIRWISE_CAP = 4
 DIAGRAMS_CAP = 4
 GROUPS_CAP = 4
-RANDOM_SIZE_CAP = 10
+RANDOM_SIZE_CAP = 32
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -113,6 +112,7 @@ def cmd_count(args) -> int:
     rows = []
     for k in range(1, n + 1):
         if args.jobs > 1 and k >= 6:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 classes = sum(pool.map(_count_chunk, [(k, first) for first in range(1, k + 1)]))
         else:
@@ -230,6 +230,7 @@ def cmd_verify(args) -> int:
     tasks = [(k, images) for k in range(1, min(n_max, 7) + 1)
              for images in itertools.permutations(range(1, k + 1))]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunk = max(1, len(tasks) // (args.jobs * 8))
             failure_lists = list(pool.map(_check_bundle, tasks, chunksize=chunk))
@@ -337,7 +338,7 @@ def _check_class_counts(scale: int) -> dict:
 
 def _check_random_round_trip(n_max: int, seed: int) -> dict:
     rng = random.Random(seed)
-    sizes = [k for k in (n_max + 1, n_max + 2) if k <= RANDOM_SIZE_CAP]
+    sizes = [min(k, RANDOM_SIZE_CAP) for k in (n_max + 1, n_max + 2)]
     bad = total = 0
     for k in sizes:
         for _ in range(5):
@@ -347,7 +348,7 @@ def _check_random_round_trip(n_max: int, seed: int) -> dict:
             total += 1
             if extract.extract_permutation(grid.phi0(p), verify=True) != p:
                 bad += 1
-    return {"name": "random_round_trip", "scale": max(sizes, default=n_max),
+    return {"name": "random_round_trip", "scale": max(sizes),
             "passed": bad == 0,
             "details": f"{total} random permutations (seed {seed})" if bad == 0
                        else f"{bad} failures"}

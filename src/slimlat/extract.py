@@ -84,7 +84,8 @@ def _opposite_edges(lattice: FiniteLattice) -> dict[Edge, tuple[Edge, ...]]:
                 adj.setdefault(e, []).append(f)
                 adj.setdefault(f, []).append(e)
         # planarity of slim lattices: an edge borders at most two squares
-        assert all(len(v) <= 2 for v in adj.values()), "edge in >2 covering squares"
+        if any(len(v) > 2 for v in adj.values()):
+            raise NotSlimSemimodular("edge in more than two covering squares")
         return {e: tuple(v) for e, v in adj.items()}
     return _cached(lattice, "opposite_edges", compute)
 

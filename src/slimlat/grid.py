@@ -284,7 +284,7 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
     return congruence_closure(grid, _cell_generators(GridCell(i, j)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
     # plain union-find over the collapsed prime intervals; blocks of a
     # join-congruence are convex and join-closed, so its collapsed covering
@@ -406,30 +406,61 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
 def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
     """The quotient lattice of a join-congruence and the top of each block.
 
-    Block X is below block Y iff joining their tops lands in Y; element ids
-    are the canonical block labels.
+    Element ids are the canonical block labels, and block X is below block Y
+    iff top(X) <= top(Y).  A grid chain from top(X) up to top(Y) maps onto a
+    chain of images of its prime intervals, so the quotient order is the
+    reflexive-transitive closure of the images (label(a), label(b)) of the
+    uncollapsed grid edges, and its covers are the transitive reduction of
+    those images.  The argument only uses that the quotient map is
+    order-preserving, so it holds for every join-congruence, whether or not
+    it preserves covers.  Cost: O(n^2) edge images plus one union of
+    block bitmasks per image.
+
+    Any other partition raises ValueError.  A partition is a join-congruence
+    iff each block contains its top and no uncollapsed edge leads to a block
+    with a top not above its own: then x -> top of its block is a closure
+    operator, and the fibres of a closure operator form a join-congruence.
     """
-    g = kappa.grid
+    n, labels = kappa.n, kappa.labels
+    side = n + 1
     tops = kappa.block_tops()
-    nblocks = kappa.num_blocks
-    for lab, top in enumerate(tops):
-        if kappa.labels[g.index(top)] != lab:
+    nblocks = len(tops)
+    for lab, (i, j) in enumerate(tops):
+        if labels[i * side + j] != lab:
             raise ValueError("partition is not join-closed; no quotient lattice")
 
-    def leq(x: int, y: int) -> bool:
-        return kappa.labels[g.index(g.join(tops[x], tops[y]))] == y
+    targets = [0] * nblocks  # bitmask of the blocks an uncollapsed edge leads to
+    for e, lab in enumerate(labels):
+        # the c-direction edge to e + side, and the d-direction edge to e + 1
+        for f in ((e + side, e + 1) if e % side != n else (e + side,)):
+            if f >= len(labels) or labels[f] == lab:
+                continue
+            other = labels[f]
+            if tops[lab][0] > tops[other][0] or tops[lab][1] > tops[other][1]:
+                raise ValueError("partition is not join-compatible; no quotient lattice")
+            targets[lab] |= 1 << other
 
+    # a strictly larger block has a top of strictly larger rank i + j, so
+    # taking blocks by decreasing rank finds every strict up-set it needs
+    above = [0] * nblocks
     covers = []
-    for x in range(nblocks):
-        for y in range(nblocks):
-            if x != y and leq(x, y):
-                if not any(z != x and z != y and leq(x, z) and leq(z, y)
-                           for z in range(nblocks)):
-                    covers.append((x, y))
+    for x in sorted(range(nblocks), key=lambda b: sum(tops[b]), reverse=True):
+        reach = 0
+        rest = targets[x]
+        while rest:
+            bit = rest & -rest
+            reach |= above[bit.bit_length() - 1]
+            rest ^= bit
+        above[x] = targets[x] | reach
+        rest = targets[x] & ~reach
+        while rest:
+            bit = rest & -rest
+            covers.append((x, bit.bit_length() - 1))
+            rest ^= bit
     return FiniteLattice(nblocks, covers), tops
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _phi0(n: int, images: tuple[int, ...]) -> BorderedDiagram:
     kappa = GridCongruence(n, _formula_labels(n, images))
     lattice, _ = quotient(kappa)

@@ -50,9 +50,9 @@ class InvalidDiagram(ValueError):
 class FiniteLattice:
     """An immutable finite lattice with eagerly computed order data.
 
-    Validation and the order/join/meet tables cost O(size^3) in the worst
-    case, which is fine at the intended scale; every later query is O(1)
-    or a bitmask operation.
+    Validation and the order/join/meet tables cost O(size^2) operations on
+    size-bit masks: one lowest or highest set bit and one comparison per
+    pair of elements.  Every later query is O(1) or a bitmask operation.
     """
 
     __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
@@ -104,19 +104,25 @@ class FiniteLattice:
             raise Cyclic("cover relation has a cycle")
         return order
 
-    def _build_reachability(self, order: list[int]) -> None:
+    def _cones(self, order: list[int], bits: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Up-set and down-set masks of every element, where bits[x] is the
+        mask of x alone; order must be a linear extension."""
         up = [0] * self.size
         for x in reversed(order):
-            mask = 1 << x
+            mask = bits[x]
             for y in self.covers_up[x]:
                 mask |= up[y]
             up[x] = mask
         down = [0] * self.size
         for x in order:
-            mask = 1 << x
+            mask = bits[x]
             for y in self.covers_down[x]:
                 mask |= down[y]
             down[x] = mask
+        return up, down
+
+    def _build_reachability(self, order: list[int]) -> None:
+        up, down = self._cones(order, [1 << x for x in range(self.size)])
         self.up = tuple(up)
         self.down = tuple(down)
 
@@ -142,28 +148,35 @@ class FiniteLattice:
         self.height = tuple(h)
 
     def _build_tables(self) -> None:
+        # Renumber the elements by position in a height-sorted linear
+        # extension.  A join is below every other common upper bound, so it
+        # sits at the lowest set bit of the renumbered up[i] & up[j], and a
+        # meet at the highest set bit of down[i] & down[j]; when the bound
+        # is missing, the element found there has a different cone.
         size = self.size
+        order = sorted(range(size), key=self.height.__getitem__)
+        bits = [0] * size
+        for k, x in enumerate(order):
+            bits[x] = 1 << k
+        up, down = self._cones(order, bits)
+
         joins = [[0] * size for _ in range(size)]
         meets = [[0] * size for _ in range(size)]
         for i in range(size):
+            up_i, down_i = up[i], down[i]
             for j in range(i, size):
-                joins[i][j] = joins[j][i] = self._bound(i, j, self.up, "join")
-                meets[i][j] = meets[j][i] = self._bound(i, j, self.down, "meet")
+                common = up_i & up[j]
+                u = order[(common & -common).bit_length() - 1]
+                if up[u] != common:
+                    raise NotALattice(f"elements {i} and {j} have no join")
+                joins[i][j] = joins[j][i] = u
+                common = down_i & down[j]
+                u = order[common.bit_length() - 1]
+                if down[u] != common:
+                    raise NotALattice(f"elements {i} and {j} have no meet")
+                meets[i][j] = meets[j][i] = u
         self._joins = tuple(map(tuple, joins))
         self._meets = tuple(map(tuple, meets))
-
-    def _bound(self, i: int, j: int, cone: Sequence[int], kind: str) -> int:
-        # the join of i,j is the unique u among common upper bounds S with
-        # cone(u) == S; same for meets with down-sets
-        common = cone[i] & cone[j]
-        s = common
-        while s:
-            bit = s & -s
-            u = bit.bit_length() - 1
-            if cone[u] == common:
-                return u
-            s ^= bit
-        raise NotALattice(f"elements {i} and {j} have no {kind}")
 
     # -- queries ------------------------------------------------------------
 

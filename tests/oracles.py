@@ -107,3 +107,39 @@ def naive_join_closure(n, pairs):
 def congruence_blocks(kappa):
     """The library congruence's partition in the oracle's format."""
     return frozenset(frozenset(block) for block in kappa.blocks())
+
+
+def naive_quotient_covers(kappa):
+    """Covers of the quotient by a join-congruence, by the triple loop over
+    blocks: X <= Y iff joining their tops lands in Y, and X is covered by Y
+    iff no third block lies strictly between them."""
+    g = kappa.grid
+    tops = kappa.block_tops()
+    nblocks = kappa.num_blocks
+
+    def leq(x, y):
+        return kappa.labels[g.index(g.join(tops[x], tops[y]))] == y
+
+    return frozenset(
+        (x, y)
+        for x in range(nblocks)
+        for y in range(nblocks)
+        if x != y and leq(x, y)
+        and not any(z != x and z != y and leq(x, z) and leq(z, y) for z in range(nblocks))
+    )
+
+
+def naive_bound_tables(lattice):
+    """Join and meet tables by scanning the common bounds of every pair for
+    the one whose up-set (down-set) equals them; None marks a missing bound."""
+    def bound(cone, i, j):
+        common = cone[i] & cone[j]
+        for u in range(lattice.size):
+            if common >> u & 1 and cone[u] == common:
+                return u
+        return None
+
+    elems = range(lattice.size)
+    joins = tuple(tuple(bound(lattice.up, i, j) for j in elems) for i in elems)
+    meets = tuple(tuple(bound(lattice.down, i, j) for j in elems) for i in elems)
+    return joins, meets

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +11,21 @@ from slimlat.cli import main, parse_permutation
 from slimlat.perm import Permutation
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter with this checkout's src/ first on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SLIMLAT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 class TestParsePermutation:
@@ -252,3 +267,26 @@ class TestVerify:
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         r1["inputs"].pop("jobs"), r2["inputs"].pop("jobs")
         assert r1 == r2
+
+    @pytest.mark.parametrize("n_max, scale", [(9, 11), (10, 12), (40, 32)])
+    def test_random_round_trip_always_draws(self, n_max, scale):
+        check = cli._check_random_round_trip(n_max, 0)
+        assert check["passed"] is True
+        assert check["details"] == "10 random permutations (seed 0)"
+        assert check["scale"] == scale
+
+    def test_same_report_under_optimize(self):
+        reports = []
+        for flags in ([], ["-O"]):
+            proc = run_python(*flags, "-m", "slimlat.cli", "verify", "--n", "3")
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
+def test_import_leaves_out_process_pool():
+    proc = run_python("-c", "import sys, slimlat.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -44,6 +44,14 @@ class TestPi1:
         with pytest.raises(extract.NotSlimSemimodular):
             extract.pi1_trajectories(d)
 
+    def test_edge_in_three_squares_rejected(self):
+        # in the Boolean lattice 2^4 every edge borders three covering squares;
+        # the refusal is a typed error, so it also holds under python -O
+        boolean = FiniteLattice(16, [(x, x | 1 << k) for x in range(16) for k in range(4)
+                                     if not x >> k & 1])
+        with pytest.raises(extract.NotSlimSemimodular, match="more than two"):
+            extract._opposite_edges(boolean)
+
 
 class TestPi2:
     def test_chain_is_identity(self):

@@ -318,6 +318,45 @@ class TestQuotient:
         with pytest.raises(ValueError):
             grid.quotient(raw)
 
+    def test_refuses_exactly_the_partitions_that_are_not_join_congruences(self):
+        rng = random.Random(8)
+        join_closed_only = 0
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            size = (n + 1) ** 2
+            labels = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+            raw = GridCongruence.from_labels(n, labels, check=False)
+            if raw.is_join_compatible():
+                assert grid.quotient(raw)[0].covers == oracles.naive_quotient_covers(raw)
+                continue
+            with pytest.raises(ValueError, match="no quotient lattice") as info:
+                grid.quotient(raw)
+            join_closed_only += "join-compatible" in str(info.value)
+        assert join_closed_only > 0
+
+    def test_permutation_congruences_match_naive_covers(self):
+        for n in range(0, 6):
+            for pi in all_perms(n):
+                kappa = grid.beta_from_formula(Grid(n), pi)
+                lat, tops = grid.quotient(kappa)
+                assert lat.covers == oracles.naive_quotient_covers(kappa)
+                assert tops == kappa.block_tops()
+
+    def test_random_congruences_match_naive_covers(self):
+        # general join-congruences, some of them not cover-preserving
+        rng = random.Random(3)
+        flagged = 0
+        for n in (1, 2, 3, 4):
+            g = Grid(n)
+            coords = list(g.elements())
+            for _ in range(40):
+                pairs = [(rng.choice(coords), rng.choice(coords))
+                         for _ in range(rng.randrange(4))]
+                kappa = grid.congruence_closure(g, pairs)
+                flagged += bool(grid.forbidden_cells(kappa))
+                assert grid.quotient(kappa)[0].covers == oracles.naive_quotient_covers(kappa)
+        assert flagged > 0
+
 
 class TestPhi0:
     def test_singleton(self):
@@ -378,6 +417,10 @@ class TestPhi0:
                 lat, tops = grid.quotient(grid.beta_from_perm(Grid(n), pi, check=False))
                 expected = {x: (tops[x][1] - tops[x][0], lat.height[x]) for x in range(lat.size)}
                 assert grid.heuristic_layout(pi) == expected
+
+    def test_memo_caches_are_bounded(self):
+        assert grid._phi0.cache_info().maxsize is not None
+        assert grid._formula_labels.cache_info().maxsize is not None
 
     def test_production_never_runs_the_closure(self, monkeypatch, capsys):
         def refuse(*args):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import oracles
 from slimlat import grid, lattice
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation
@@ -25,8 +26,22 @@ class TestFromCovers:
 
     def test_hexagon_is_not_a_lattice(self):
         # 1 and 2 have two minimal common upper bounds
-        with pytest.raises(lattice.NotALattice):
+        with pytest.raises(lattice.NotALattice, match="no join"):
             lattice.from_covers(6, HEXAGON_POSET)
+        # reversed, 1 and 2 have a join (the new top 0) but two maximal
+        # common lower bounds
+        with pytest.raises(lattice.NotALattice, match="no meet"):
+            lattice.from_covers(6, [(b, a) for a, b in HEXAGON_POSET])
+
+    def test_tables_match_naive_scan(self):
+        for n in range(0, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                built = grid.phi0(Permutation(images)).lattice
+                for lat in (built, lattice.dual(built)):
+                    elems = range(lat.size)
+                    joins = tuple(tuple(lat.join(i, j) for j in elems) for i in elems)
+                    meets = tuple(tuple(lat.meet(i, j) for j in elems) for i in elems)
+                    assert (joins, meets) == oracles.naive_bound_tables(lat)
 
     def test_transitive_edge_rejected(self):
         with pytest.raises(lattice.NotReduced):
