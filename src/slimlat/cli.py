@@ -19,10 +19,9 @@ import time
 from slimlat import extract, grid, groups, lattice, perm
 from slimlat.perm import Permutation
 
-ENUMERATION_CAP = 9
 # per-check scale caps keeping `verify` desk-speed at large --n
 PAIRWISE_CAP = 4
-DIAGRAMS_CAP = 4
+DIAGRAMS_CAP = 5
 GROUPS_CAP = 4
 RANDOM_SIZE_CAP = 32
 
@@ -106,27 +105,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_count(args) -> int:
-    n = args.n
-    if not 0 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"--n must be within 0..{ENUMERATION_CAP} (got {n})")
-    rows = []
-    for k in range(1, n + 1):
-        if args.jobs > 1 and k >= 6:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                classes = sum(pool.map(_count_chunk, [(k, first) for first in range(1, k + 1)]))
-        else:
-            classes = perm.count_classes(k)
-        rows.append({"n": k, "classes": classes, "factorial": math.factorial(k)})
+    counts = perm.class_counts(args.n)
+    rows = [{"n": k, "classes": counts[k], "factorial": math.factorial(k)}
+            for k in range(1, args.n + 1)]
     _emit({"counts": rows})
     for row in rows:
         _note(f"n={row['n']:>2}  classes={row['classes']:>8}  n!={row['factorial']}")
     return 0
-
-
-def _count_chunk(task: tuple[int, int]) -> int:
-    n, first = task
-    return perm._count_canonical_with_first(n, first)
 
 
 def cmd_group_realize(args) -> int:
@@ -249,7 +234,7 @@ def cmd_verify(args) -> int:
     checks.append(_check_pairwise_iso(min(n_max, PAIRWISE_CAP)))
     checks.append(_check_diagram_counts(min(n_max, DIAGRAMS_CAP)))
     checks.append(_check_group_realization(min(n_max, GROUPS_CAP)))
-    checks.append(_check_class_counts(min(n_max, ENUMERATION_CAP)))
+    checks.append(_check_class_counts(min(n_max, perm.ENUMERATION_CAP)))
     checks.append(_check_random_round_trip(n_max, args.seed))
 
     injected = os.environ.get("SLIMLAT_INJECT_FAULT")
@@ -317,23 +302,11 @@ def _check_group_realization(scale: int) -> dict:
 
 
 def _check_class_counts(scale: int) -> dict:
-    ok = True
-    details = []
-    for k in range(scale + 1):
-        c = perm.count_classes(k)
-        details.append(c)
-        if c > math.factorial(k):
-            ok = False
-        if k <= 3:
-            # independent route: group S_k by pairwise equivalence
-            reps: list[Permutation] = []
-            for p in perm.all_permutations(k):
-                if not any(perm.rho_equivalent(p, r) for r in reps):
-                    reps.append(p)
-            if len(reps) != c:
-                ok = False
+    # the closed form against the enumeration of canonical representatives
+    counts = perm.class_counts(scale)
+    ok = all(counts[k] == len(perm.enumerate_reps(k)) for k in range(scale + 1))
     return {"name": "class_counts", "scale": scale, "passed": ok,
-            "details": f"counts {details}"}
+            "details": f"counts {counts}"}
 
 
 def _check_random_round_trip(n_max: int, seed: int) -> dict:
@@ -375,9 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--diagram", required=True, help="path to a diagram JSON file")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("count", help="equivalence classes of S_1..S_n")
+    p = sub.add_parser("count", help=f"equivalence classes of S_1..S_n, n <= {perm.COUNT_CAP}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run the invariant suite up to size n")

@@ -17,23 +17,30 @@ matching right-chain step:
   side values already agree with the top but not with the bottom.
 
 All three agree on every valid input; ``extract_permutation`` runs the
-cheapest one and, by default, cross-checks it against the other two.  The
-module also enumerates all bordered diagrams of a lattice up to boundary
-similarity by reflecting glued-sum components.
+cheapest one and, by default, cross-checks it against the other two.
+
+``diagrams_of`` lists all bordered diagrams of a lattice up to boundary
+similarity, and ``diagram_count`` counts them without building them.  Each
+glued-sum component (the interval between consecutive narrows) has one pair
+of boundary chains, found by splitting its join-irreducibles into two chains
+and walking the forced maximal chain through each.  A component contributes
+one orientation if an automorphism of it swaps the two chains and two
+otherwise, so both functions are polynomial in the lattice size.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, _cached,
-                             _search_isomorphisms, automorphisms,
-                             covering_squares, interval_sublattice,
-                             is_semimodular, is_slim, join_irreducibles,
-                             maximal_chains, narrows)
+                             _search_isomorphisms, covering_squares,
+                             interval_sublattice, is_semimodular, is_slim,
+                             narrows)
 from slimlat.perm import Permutation, rho_class
 
 Edge = tuple[int, int]
+Chain = tuple[int, ...]
 
 
 class NotSlimSemimodular(ValueError):
@@ -193,67 +200,106 @@ def extract_permutation(diagram: BorderedDiagram, verify: bool = True) -> Permut
 # -- enumerating diagrams ---------------------------------------------------------
 
 def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
-                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The unique unordered pair of maximal chains of [lo, hi] that together
-    cover the component's join-irreducibles."""
-    chains = maximal_chains(lattice, lo, hi)
-    if len(chains) == 1:
-        return chains[0], chains[0]
-    sub, elems = interval_sublattice(lattice, lo, hi)
-    ji = {elems[x] for x in join_irreducibles(sub)}
-    pairs = [(u, v) for u, v in itertools.combinations(chains, 2)
-             if ji <= set(u) | set(v)]
-    if len(pairs) != 1:
-        raise RuntimeError(
-            f"component [{lo}, {hi}] has {len(pairs)} boundary chain pairs")
-    return pairs[0]
+                          ) -> tuple[Chain, Chain]:
+    """The two boundary chains of the glued-sum component between the
+    consecutive narrows lo and hi, lexicographically smaller first (equal
+    when hi covers lo).
 
-
-def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:
-    """All bordered diagrams of a slim semimodular lattice up to boundary
-    similarity.
-
-    Between consecutive narrows the boundary pair of the component is unique
-    up to a swap, so candidates are products of per-component orientation
-    choices; candidates related by a lattice automorphism fixing the chain
-    assignment are identified.
+    The join-irreducibles in (lo, hi] split into two chains, one per colour
+    class of their incomparability graph; the class of the atom with the
+    smaller id gives the smaller chain.  The walk from lo through one class
+    to hi is forced: two upper covers of the current element below the next
+    target would both be its join with a member of the other chain, hence
+    comparable, hence equal.
     """
+    # lo is a narrow, so no lower cover of an element above lo lies outside
+    # [lo, hi], and these are the join-irreducibles of the interval
+    ji = [x for x in lattice.interval(lo, hi)[1:] if len(lattice.covers_down[x]) == 1]
+    colour = {ji[0]: 0}
+    stack = [ji[0]]
+    while stack:
+        x = stack.pop()
+        for y in ji:
+            if lattice.comparable(x, y):
+                continue
+            if y not in colour:
+                colour[y] = 1 - colour[x]
+                stack.append(y)
+            elif colour[y] == colour[x]:
+                raise NotSlimSemimodular(
+                    f"join-irreducibles of [{lo}, {hi}] are not two chains")
+    if len(colour) != len(ji):
+        raise RuntimeError(
+            f"component [{lo}, {hi}] has more than one boundary chain pair")
+
+    def walk(targets: list[int]) -> Chain:
+        out = [lo]
+        for t in targets + [hi]:
+            while out[-1] != t:
+                steps = [y for y in lattice.covers_up[out[-1]] if lattice.leq(y, t)]
+                if len(steps) != 1:
+                    raise NotSlimSemimodular(
+                        f"boundary walk in [{lo}, {hi}] forks at {out[-1]}")
+                out.append(steps[0])
+        return tuple(out)
+
+    return (walk([x for x in ji if colour[x] == 0]),
+            walk([x for x in ji if colour[x] == 1]))
+
+
+def _reflection_similar(lattice: FiniteLattice, lo: int, hi: int,
+                        u: Chain, v: Chain) -> bool:
+    """True iff some automorphism of [lo, hi] swaps the chains u and v."""
+    sub, elems = interval_sublattice(lattice, lo, hi)
+    index = {x: k for k, x in enumerate(elems)}
+    d = BorderedDiagram(sub, tuple(index[x] for x in u), tuple(index[x] for x in v))
+    return boundarily_similar(d, d.reflected())
+
+
+def _orientation_options(lattice: FiniteLattice) -> list[tuple[tuple[Chain, Chain], ...]]:
+    """Per glued-sum component, its (left, right) boundary pairs up to
+    boundary similarity: one when the chains coincide or an automorphism of
+    the component swaps them, both orientations otherwise."""
     _require_slim_semimodular(lattice)
-    if lattice.size == 1:
-        only = (lattice.bottom,)
-        return (BorderedDiagram(lattice, only, only),)
     nar = narrows(lattice)
     options = []
     for lo, hi in zip(nar, nar[1:]):
         u, v = _component_chain_pair(lattice, lo, hi)
-        options.append([(u, v)] if u == v else [(u, v), (v, u)])
+        if u == v or _reflection_similar(lattice, lo, hi, u, v):
+            options.append(((u, v),))
+        else:
+            options.append(((u, v), (v, u)))
+    return options
 
-    candidates = []
-    for combo in itertools.product(*options):
+
+def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:
+    """All bordered diagrams of a slim semimodular lattice up to boundary
+    similarity, in lexicographic order of (left chain, right chain).
+
+    An automorphism fixes every narrow, so it acts on each glued-sum
+    component separately, and two diagrams are boundarily similar iff they
+    agree on every component up to an automorphism of that component.  The
+    diagrams are therefore the products of the per-component orientation
+    choices; a component whose automorphisms swap its boundary chains keeps
+    only the lexicographically smaller orientation.  Polynomial in the
+    lattice size.
+    """
+    out = []
+    for combo in itertools.product(*_orientation_options(lattice)):
         left: list[int] = [lattice.bottom]
         right: list[int] = [lattice.bottom]
         for u, v in combo:
             left.extend(u[1:])
             right.extend(v[1:])
-        candidates.append(BorderedDiagram(lattice, tuple(left), tuple(right)))
-    candidates.sort(key=lambda d: (d.left_chain, d.right_chain))
-
-    autos = automorphisms(lattice)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    reps = []
-    for d in candidates:
-        if (d.left_chain, d.right_chain) in seen:
-            continue
-        reps.append(d)
-        for gamma in autos:
-            seen.add((tuple(gamma[x] for x in d.left_chain),
-                      tuple(gamma[x] for x in d.right_chain)))
-    return tuple(reps)
+        out.append(BorderedDiagram(lattice, tuple(left), tuple(right)))
+    return tuple(out)
 
 
 def diagram_count(lattice: FiniteLattice) -> int:
-    """|diagrams_of(lattice)|; equals the class size of any of its permutations."""
-    return len(diagrams_of(lattice))
+    """|diagrams_of(lattice)|, without building the diagrams: the product of
+    the per-component orientation counts.  Equals the class size of any of
+    the lattice's permutations."""
+    return math.prod(len(choices) for choices in _orientation_options(lattice))
 
 
 def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:

@@ -17,6 +17,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+# enumerate_reps filters all of S_n: about 2 s at n = 9 on a 2-vCPU VM
+ENUMERATION_CAP = 9
+# class_counts costs O(n^2) operations on integers of O(n log n) bits: on a
+# 2-vCPU VM 0.07 s at n = 300, 0.32 s at n = 500, 0.69 s at n = 600
+COUNT_CAP = 500
+
 
 class DuplicateValue(ValueError):
     """A value occurs twice in one-line notation."""
@@ -295,15 +301,9 @@ def _iter_canonical_images(n: int) -> Iterator[tuple[int, ...]]:
     return filter(_images_canonical, itertools.permutations(range(1, n + 1)))
 
 
-def _count_canonical_with_first(n: int, first: int) -> int:
-    """Canonical representatives starting with a fixed value (worker-pool chunk)."""
-    rest = [v for v in range(1, n + 1) if v != first]
-    return sum(1 for tail in itertools.permutations(rest)
-               if _images_canonical((first, *tail)))
-
-
-def enumerate_reps(n: int, max_n: int = 9) -> list[Permutation]:
-    """Canonical class representatives in lexicographic order."""
+def enumerate_reps(n: int, max_n: int = ENUMERATION_CAP) -> list[Permutation]:
+    """Canonical class representatives in lexicographic order, by filtering
+    all of S_n."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
     if n > max_n:
@@ -311,17 +311,52 @@ def enumerate_reps(n: int, max_n: int = 9) -> list[Permutation]:
     return [Permutation(images) for images in _iter_canonical_images(n)]
 
 
-def count_classes(n: int, max_n: int = 9) -> int:
+def class_counts(n: int) -> list[int]:
+    """Number of equivalence classes in S_0, ..., S_n, by a closed form.
+
+    A class is a sequence of segments, each an indecomposable permutation
+    taken up to inversion.  Inversion pairs up the indecomposable
+    permutations of length k except the involutions, so there are
+    C(k) = (I(k) + J(k)) / 2 segment classes, where I(k) counts
+    indecomposable permutations and J(k) indecomposable involutions.
+    Splitting off the first segment gives I(k) = k! - sum I(a) (k-a)!, the
+    same recurrence over the involution numbers for J, and
+    Classes(n) = sum C(a) Classes(n-a).  O(n^2) exact-integer operations.
+    These are also the numbers of slim semimodular lattices of length n
+    (Czedli, Ozsvart and Udvari, Discrete Math. 2012).
+
+    >>> class_counts(6)
+    [1, 1, 2, 5, 17, 73, 397]
+    """
+    if n < 0:
+        raise OutOfRange("n must be nonnegative")
+    if n > COUNT_CAP:
+        raise TooLarge(f"n={n} exceeds the counting cap {COUNT_CAP}")
+    factorials = [1] * (n + 1)
+    involutions = [1] * (n + 1)
+    for k in range(2, n + 1):
+        factorials[k] = k * factorials[k - 1]
+        involutions[k] = involutions[k - 1] + (k - 1) * involutions[k - 2]
+    indec = [0] * (n + 1)
+    indec_inv = [0] * (n + 1)
+    segment_classes = [0] * (n + 1)
+    classes = [1] + [0] * n
+    for k in range(1, n + 1):
+        indec[k] = factorials[k] - sum(indec[a] * factorials[k - a] for a in range(1, k))
+        indec_inv[k] = involutions[k] - sum(indec_inv[a] * involutions[k - a]
+                                            for a in range(1, k))
+        segment_classes[k] = (indec[k] + indec_inv[k]) // 2
+        classes[k] = sum(segment_classes[a] * classes[k - a] for a in range(1, k + 1))
+    return classes
+
+
+def count_classes(n: int) -> int:
     """Number of equivalence classes in S_n; always at most n!.
 
     >>> [count_classes(n) for n in range(4)]
     [1, 1, 2, 5]
     """
-    if n < 0:
-        raise OutOfRange("n must be nonnegative")
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds the enumeration cap {max_n}")
-    return sum(1 for _ in _iter_canonical_images(n))
+    return class_counts(n)[n]
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

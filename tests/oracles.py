@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import itertools
 
+from slimlat.lattice import (automorphisms, interval_sublattice, join_irreducibles,
+                             maximal_chains, narrows)
+
 
 def closed(images, lo, hi):
     """Interval {lo..hi} (1-based, empty when lo > hi) closed under the map."""
@@ -143,3 +146,46 @@ def naive_bound_tables(lattice):
     joins = tuple(tuple(bound(lattice.up, i, j) for j in elems) for i in elems)
     meets = tuple(tuple(bound(lattice.down, i, j) for j in elems) for i in elems)
     return joins, meets
+
+
+def chain_pair_by_search(lattice, lo, hi):
+    """The boundary chain pair of the component [lo, hi] by enumerating every
+    maximal chain and keeping the one pair that covers the component's
+    join-irreducibles; exponential in the component's length."""
+    chains = maximal_chains(lattice, lo, hi)
+    if len(chains) == 1:
+        return chains[0], chains[0]
+    sub, elems = interval_sublattice(lattice, lo, hi)
+    ji = {elems[x] for x in join_irreducibles(sub)}
+    pairs = [(u, v) for u, v in itertools.combinations(chains, 2)
+             if ji <= set(u) | set(v)]
+    if len(pairs) != 1:
+        raise RuntimeError(
+            f"component [{lo}, {hi}] has {len(pairs)} boundary chain pairs")
+    return pairs[0]
+
+
+def diagram_chains_by_automorphisms(lattice):
+    """(left_chain, right_chain) of every diagram of a slim semimodular
+    lattice up to boundary similarity: all 2^k orientations of the searched
+    component chain pairs, sorted, keeping the first of each orbit under the
+    lattice's full automorphism group."""
+    nar = narrows(lattice)
+    options = []
+    for lo, hi in zip(nar, nar[1:]):
+        u, v = chain_pair_by_search(lattice, lo, hi)
+        options.append([(u, v)] if u == v else [(u, v), (v, u)])
+    candidates = sorted(
+        (tuple([lattice.bottom] + [x for u, _ in combo for x in u[1:]]),
+         tuple([lattice.bottom] + [x for _, v in combo for x in v[1:]]))
+        for combo in itertools.product(*options))
+    autos = automorphisms(lattice)
+    seen = set()
+    reps = []
+    for left, right in candidates:
+        if (left, right) in seen:
+            continue
+        reps.append((left, right))
+        for gamma in autos:
+            seen.add((tuple(gamma[x] for x in left), tuple(gamma[x] for x in right)))
+    return reps

@@ -134,7 +134,7 @@ def test_criterion_07_narrows_match_segments():
 
 def test_criterion_08_diagram_counting():
     started = time.perf_counter()
-    for n in range(1, 6):
+    for n in range(1, 7):
         for pi in all_perms(n):
             assert (extract.diagram_count(grid.phi0(pi).lattice)
                     == len(perm.rho_class(pi))), pi
@@ -143,7 +143,7 @@ def test_criterion_08_diagram_counting():
     double_cycle = Permutation((2, 3, 1, 4, 6, 7, 5))  # (1 2 3)(5 6 7)
     assert extract.diagram_count(grid.phi0(double_cycle).lattice) == 4
     report(8, "diagram counts are class sizes", True,
-           f"n<=5 plus the two large instances, {timed(started)}")
+           f"n<=6 plus the two large instances, {timed(started)}")
 
 
 def test_criterion_09_group_realization():

@@ -147,14 +147,16 @@ class TestCount:
         assert [(r["n"], r["classes"]) for r in rows] == [(1, 1), (2, 2), (3, 5)]
         assert all(r["classes"] <= r["factorial"] for r in rows)
 
-    def test_cap(self, capsys):
-        code, _, _ = run(capsys, "count", "--n", "10")
-        assert code == 2
+    def test_beyond_enumeration(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "10")
+        assert code == 0
+        assert json.loads(out)["counts"][-1] == {"n": 10, "classes": 1809104,
+                                                 "factorial": 3628800}
 
-    def test_jobs_agree(self, capsys):
-        _, serial, _ = run(capsys, "count", "--n", "6")
-        _, parallel, _ = run(capsys, "count", "--n", "6", "--jobs", "2")
-        assert serial == parallel
+    def test_cap(self, capsys):
+        code, out, err = run(capsys, "count", "--n", str(perm.COUNT_CAP + 1))
+        assert code == 2 and out == ""
+        assert "TooLarge" in err
 
 
 class TestRenderGrid:

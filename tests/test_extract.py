@@ -1,8 +1,11 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from slimlat import extract, grid, lattice
+import oracles
+from slimlat import extract, grid, lattice, perm
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation, rho_class
 
@@ -15,6 +18,16 @@ M3 = FiniteLattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 def all_perms(n):
     return (Permutation(images) for images in itertools.permutations(range(1, n + 1)))
+
+
+def random_perm(rng, n):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def chains_of(diagrams):
+    return [(d.left_chain, d.right_chain) for d in diagrams]
 
 
 class TestPi1:
@@ -104,7 +117,8 @@ class TestDiagramsOf:
         assert extract.diagram_count(lattice.chain(4)) == 1
 
     def test_b2_has_one_diagram(self):
-        # the atom swap is an automorphism, so the reflection is identified
+        # the atom swap is an automorphism of the component, so the
+        # reflection is identified
         assert extract.diagram_count(B2_LEFT_VIA_A.lattice) == 1
 
     def test_three_cycle_has_two(self):
@@ -137,6 +151,43 @@ class TestDiagramsOf:
     def test_singleton(self):
         one = lattice.from_covers(1, [])
         assert extract.diagram_count(one) == 1
+
+    def test_matches_search_oracle_exhaustive(self):
+        for n in range(0, 7):
+            for pi in all_perms(n):
+                lat = grid.phi0(pi).lattice
+                assert (chains_of(extract.diagrams_of(lat))
+                        == oracles.diagram_chains_by_automorphisms(lat)), pi
+
+    def test_matches_search_oracle_random_indecomposable(self):
+        rng = random.Random(4)
+        for n in (9, 9, 10, 10):
+            pi = random_perm(rng, n)
+            while len(perm.segments(pi).segments) > 1:
+                pi = random_perm(rng, n)
+            lat = grid.phi0(pi).lattice
+            assert (chains_of(extract.diagrams_of(lat))
+                    == oracles.diagram_chains_by_automorphisms(lat)), pi
+
+    def test_count_is_class_size_at_n24(self):
+        rng = random.Random(24)
+        for _ in range(5):
+            pi = random_perm(rng, 24)
+            lat = grid.phi0(pi).lattice
+            started = time.perf_counter()
+            count = extract.diagram_count(lat)
+            assert time.perf_counter() - started < 1.0, pi
+            assert count == len(rho_class(pi)), pi
+
+    def test_many_symmetric_blocks(self):
+        # (2,1) summed 20 times: every component is a square whose
+        # automorphism swaps its boundary chains, so there is one diagram
+        pi = Permutation(tuple(k + (1 if k % 2 else -1) for k in range(1, 41)))
+        assert extract.diagram_count(grid.phi0(pi).lattice) == 1
+
+    def test_chain_pair_rejects_three_incomparable_join_irreducibles(self):
+        with pytest.raises(extract.NotSlimSemimodular, match="two chains"):
+            extract._component_chain_pair(M3, 0, 4)
 
 
 class TestBoundarySimilarity:

@@ -235,9 +235,12 @@ class TestCounting:
             assert perm.count_classes(n) <= math.factorial(n)
 
     def test_too_large(self):
+        assert perm.count_classes(9) == 181607
+        assert perm.count_classes(10) == 1809104
         with pytest.raises(perm.TooLarge):
-            perm.count_classes(10)
-        assert perm.count_classes(10, max_n=10) > 0
+            perm.enumerate_reps(10)
+        with pytest.raises(perm.TooLarge):
+            perm.count_classes(perm.COUNT_CAP + 1)
 
     def test_enumerate_reps(self):
         for n in range(0, 6):
@@ -246,11 +249,10 @@ class TestCounting:
             assert all(perm.canonical_rep(p) == p for p in reps)
             assert reps == sorted(reps, key=lambda p: p.images)
 
-    def test_chunked_count_agrees(self):
-        for n in range(1, 7):
-            total = sum(perm._count_canonical_with_first(n, first)
-                        for first in range(1, n + 1))
-            assert total == perm.count_classes(n)
+    def test_closed_form_matches_enumeration(self):
+        counts = perm.class_counts(perm.ENUMERATION_CAP)
+        assert counts == [len(perm.enumerate_reps(n))
+                          for n in range(perm.ENUMERATION_CAP + 1)]
 
 
 class TestRestrictionAndCycles:
