@@ -15,7 +15,10 @@ collapsed prime intervals admit a closed form (an edge in the c-direction
 with top (i, j) is collapsed iff pi(i) <= j, and dually), and ``phi0``
 builds its congruence from that predicate.  The closure from generating
 pairs backs ``congruence_closure``, ``jcong_cell``, ``regenerate`` and the
-``beta_from_perm`` oracle, an independent route to the same congruence.
+``beta_from_perm`` oracle, an independent route to the same congruence: it
+never reads the edge predicate, and finds the closed elements of the
+congruence (those that no generating pair separates) with one bitmask per
+pair, then maps each element to the least closed element above it.
 """
 from __future__ import annotations
 
@@ -236,32 +239,46 @@ def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]
     """Canonical labels of the join-congruence generated by pairs of flat
     indices e = i*(n+1) + j.
 
-    Union-find with a worklist: whenever a pair (x, y) merges two blocks,
-    its translates (x∨z, y∨z) are enqueued for the 2n join-irreducibles
-    z = (k, 0) and (0, k).  Every element is a join of join-irreducibles, so
-    compatibility with them gives compatibility with every join; pairs that
-    merge nothing follow from earlier merges and need no translates.
+    A join-congruence is the kernel of a closure operator, and the smallest
+    one containing the pairs (a, b) has as closed elements exactly the c
+    with a <= c <=> b <= c for every pair: these c are meet-closed and
+    contain the top, and every closed set of a congruence holding the pairs
+    is among them.  On the grid the up-set of (i, j) is a rectangle of bits,
+    so one XOR per pair marks the elements that separate it.  The least
+    closed element above e is e itself when e is closed, and otherwise the
+    coordinatewise minimum of the least closed elements above (i+1, j) and
+    (i, j+1), one downward pass over the flat indices.  Two elements share
+    a block iff they share that closure.  Cost: O(|pairs| + (n+1)^2)
+    big-int operations.
     """
     side = n + 1
-    parent = list(range(side * side))
-    stack = list(pairs)
-    while stack:
-        x, y = stack.pop()
-        if not _union(parent, x, y):
-            continue
-        ix, jx = divmod(x, side)
-        iy, jy = divmod(y, side)
-        for k in range(1, side):
-            # translate by (k, 0), then by (0, k)
-            a = max(ix, k) * side + jx
-            b = max(iy, k) * side + jy
-            if a != b:
-                stack.append((a, b))
-            a = ix * side + max(jx, k)
-            b = iy * side + max(jy, k)
-            if a != b:
-                stack.append((a, b))
-    return _canonical_labels(parent)
+    size = side * side
+    rows = ((1 << size) - 1) // ((1 << side) - 1)  # bit (i, 0) of every row i
+
+    def up(e: int) -> int:
+        # the rectangle above (i, j), plus bits past the grid that are never read
+        i, j = divmod(e, side)
+        return ((1 << side) - (1 << j)) * rows << i * side
+
+    separating = 0
+    for a, b in pairs:
+        separating |= up(a) ^ up(b)
+    # (ci[e], cj[e]) is the least closed element above e
+    ci = [0] * size
+    cj = [0] * size
+    for e in range(size - 1, -1, -1):
+        i, j = divmod(e, side)
+        if not separating >> e & 1:
+            ci[e], cj[e] = i, j
+        elif i == n:
+            ci[e], cj[e] = ci[e + 1], cj[e + 1]
+        elif j == n:
+            ci[e], cj[e] = ci[e + side], cj[e + side]
+        else:
+            ci[e] = min(ci[e + 1], ci[e + side])
+            cj[e] = min(cj[e + 1], cj[e + side])
+    canon: dict[int, int] = {}
+    return tuple(canon.setdefault(ci[e] * side + cj[e], len(canon)) for e in range(size))
 
 
 def congruence_closure(grid: Grid, pairs: Iterable[tuple[Coord, Coord]]

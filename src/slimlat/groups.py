@@ -71,14 +71,32 @@ class CyclicCslInstance:
         return self.h_orders[-1]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2..37.  The least
+    composite that passes them all exceeds 3 * 10^23 (Sorenson and Webster,
+    2015), so the answer is exact for every p below ``_ORDER_CAP``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -146,19 +164,30 @@ def csl_dual_diagram(inst: CyclicCslInstance) -> BorderedDiagram:
 
 
 def _divisor_lattice(divisors: Sequence[int], reverse: bool) -> FiniteLattice:
-    def leq(a: int, b: int) -> bool:
-        return a % b == 0 if reverse else b % a == 0
-
+    """Distinct positive integers ordered by divisibility (reversed on
+    request).  The lower covers of d are its maximal strict divisors in the
+    set: the bitmask of strict divisors minus everything below one of them.
+    Cost: O(m^2) divisibility tests and mask unions."""
     m = len(divisors)
+    below = [0] * m  # strict divisors of divisors[y], as a bitmask
+    for y, b in enumerate(divisors):
+        for x, a in enumerate(divisors):
+            if x != y and b % a == 0:
+                below[y] |= 1 << x
     covers = []
-    for x in range(m):
-        for y in range(m):
-            if x != y and leq(divisors[x], divisors[y]):
-                if not any(z != x and z != y
-                           and leq(divisors[x], divisors[z])
-                           and leq(divisors[z], divisors[y])
-                           for z in range(m)):
-                    covers.append((x, y))
+    for y in range(m):
+        shadowed = 0
+        rest = below[y]
+        while rest:
+            bit = rest & -rest
+            shadowed |= below[bit.bit_length() - 1]
+            rest ^= bit
+        rest = below[y] & ~shadowed
+        while rest:
+            bit = rest & -rest
+            x = bit.bit_length() - 1
+            covers.append((y, x) if reverse else (x, y))
+            rest ^= bit
     return FiniteLattice(m, covers)
 
 

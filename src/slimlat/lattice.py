@@ -259,13 +259,16 @@ def _cached(lattice: FiniteLattice, key: str, compute):
 
 
 def is_semimodular(lattice: FiniteLattice) -> bool:
-    """Upper semimodularity: a covered by b implies a∨c is b∨c or covered by it."""
+    """Upper semimodularity (a covered by b implies a∨c is b∨c or covered by
+    it), decided by Birkhoff's condition: any two distinct upper covers of
+    an element are both covered by their join.  In a lattice of finite
+    length the two are equivalent.  Cost: O(sum of squared up-degrees)
+    table lookups."""
     def compute():
-        for a, b in lattice.covers:
-            for c in range(lattice.size):
-                x = lattice.join(a, c)
-                y = lattice.join(b, c)
-                if x != y and not lattice.is_cover(x, y):
+        for ups in lattice.covers_up:
+            for a, b in itertools.combinations(ups, 2):
+                t = lattice.join(a, b)
+                if not (lattice.is_cover(a, t) and lattice.is_cover(b, t)):
                     return False
         return True
     return _cached(lattice, "semimodular", compute)

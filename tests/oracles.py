@@ -107,6 +107,37 @@ def naive_join_closure(n, pairs):
     return frozenset(frozenset(y for y in elems if (x, y) in rel) for x in elems)
 
 
+def worklist_join_closure(n, pairs):
+    """Canonical labels (blocks numbered by first occurrence in flat order)
+    of the join-congruence generated by pairs of flat indices
+    e = i*(n+1) + j, by union-find with a worklist: whenever a pair merges
+    two blocks, its translates by the 2n join-irreducibles (k, 0) and (0, k)
+    are enqueued."""
+    side = n + 1
+    parent = list(range(side * side))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = list(pairs)
+    while stack:
+        x, y = stack.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        ix, jx = divmod(x, side)
+        iy, jy = divmod(y, side)
+        for k in range(1, side):
+            stack.append((max(ix, k) * side + jx, max(iy, k) * side + jy))
+            stack.append((ix * side + max(jx, k), iy * side + max(jy, k)))
+    canon = {}
+    return tuple(canon.setdefault(find(e), len(canon)) for e in range(side * side))
+
+
 def congruence_blocks(kappa):
     """The library congruence's partition in the oracle's format."""
     return frozenset(frozenset(block) for block in kappa.blocks())
@@ -146,6 +177,18 @@ def naive_bound_tables(lattice):
     joins = tuple(tuple(bound(lattice.up, i, j) for j in elems) for i in elems)
     meets = tuple(tuple(bound(lattice.down, i, j) for j in elems) for i in elems)
     return joins, meets
+
+
+def covering_condition_scan(lattice):
+    """Upper semimodularity straight from its definition: for every cover
+    a < b and every c, a∨c equals b∨c or is covered by it."""
+    for a, b in lattice.covers:
+        for c in range(lattice.size):
+            x = lattice.join(a, c)
+            y = lattice.join(b, c)
+            if x != y and not lattice.is_cover(x, y):
+                return False
+    return True
 
 
 def chain_pair_by_search(lattice, lo, hi):
@@ -189,3 +232,31 @@ def diagram_chains_by_automorphisms(lattice):
         for gamma in autos:
             seen.add((tuple(gamma[x] for x in left), tuple(gamma[x] for x in right)))
     return reps
+
+
+def naive_divisor_covers(divisors, reverse):
+    """Covers of a set of integers under divisibility (reversed on request)
+    by the triple loop: x below y with no third element strictly between."""
+    def leq(a, b):
+        return a % b == 0 if reverse else b % a == 0
+
+    m = len(divisors)
+    return frozenset(
+        (x, y)
+        for x in range(m)
+        for y in range(m)
+        if x != y and leq(divisors[x], divisors[y])
+        and not any(z != x and z != y and leq(divisors[x], divisors[z])
+                    and leq(divisors[z], divisors[y]) for z in range(m)))
+
+
+def trial_division_is_prime(p):
+    """Primality by trying every divisor up to the square root."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slimlat import cli, lattice, perm
+from slimlat import cli, grid, lattice, perm
 from slimlat.cli import main, parse_permutation
 from slimlat.perm import Permutation
 
@@ -203,6 +208,14 @@ class TestGroupRealize:
         code, _, _ = run(capsys, "group-realize", "--perm", "2,1", "--primes", "4,5")
         assert code == 2
 
+    def test_large_prime_is_quick(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "group-realize", "--perm", "1",
+                           "--primes", "9223372036854775783")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert json.loads(out)["elements"] == [1, 9223372036854775783]
+
 
 class TestExportDot:
     def test_chain(self, capsys, tmp_path):
@@ -255,6 +268,17 @@ class TestVerify:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["round_trip"]
 
+    def test_formula_oracle_catches_a_closure_fault(self, capsys, monkeypatch):
+        closure = grid._closure_labels
+        monkeypatch.setattr(grid, "_closure_labels",
+                            lambda n, pairs: closure(n, list(pairs)[:-1]))
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert "formula_oracle" in failed
+
     def test_deterministic_modulo_wall_time(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "2", "--seed", "5")
         _, out2, _ = run(capsys, "verify", "--n", "2", "--seed", "5")
@@ -292,3 +316,62 @@ def test_import_leaves_out_process_pool():
     proc = run_python("-c", "import sys, slimlat.cli; print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# -- fuzzing the exit-code contract ------------------------------------------------
+
+_valid = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.permutations(tuple(range(1, n + 1)))).map(Permutation)
+_points = st.one_of(
+    _valid.map(lambda p: [str(x) for x in p.images]),
+    st.lists(st.one_of(st.integers(min_value=-1, max_value=9).map(str),
+                       st.sampled_from(["x", "1.5", "", "-"])), max_size=8))
+_one_line = st.builds(lambda sep, toks: sep.join(toks), st.sampled_from([",", " ", ", "]), _points)
+_cycles = st.one_of(
+    _valid.map(Permutation.cycle_string),
+    st.lists(_points, max_size=4).map(
+        lambda cycles: "".join("(" + " ".join(c) + ")" for c in cycles)))
+
+
+@st.composite
+def _perm_texts(draw):
+    """One-line or cycle notation, lists of up to 8 points below 10, valid
+    or not."""
+    text = draw(st.one_of(_one_line, _cycles))
+    if draw(st.booleans()):  # break it: insert a stray token without digits
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(["(", ")", "((", "x", ",,", " - "])) + text[at:]
+    return text
+
+
+_primes_texts = st.lists(
+    st.one_of(st.integers(min_value=-3, max_value=2 ** 63).map(str),
+              st.sampled_from(["2", "3", "5", "7", "11", "13", "9223372036854775783", "x"])),
+    max_size=4).map(",".join)
+
+
+def _exit_code(argv):
+    # an exception escaping main fails the test with its traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_perm_texts(), fmt=st.sampled_from(["json", "dot"]))
+def test_fuzz_build_exit_codes(text, fmt):
+    assert _exit_code(["build", f"--perm={text}", f"--format={fmt}"]) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_perm_texts(), fmt=st.sampled_from(["ascii", "json", "dot"]))
+def test_fuzz_render_grid_exit_codes(text, fmt):
+    assert _exit_code(["render-grid", f"--perm={text}", f"--format={fmt}"]) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_perm_texts(), primes=st.none() | _primes_texts)
+def test_fuzz_group_realize_exit_codes(text, primes):
+    argv = ["group-realize", f"--perm={text}"]
+    if primes is not None:
+        argv.append(f"--primes={primes}")
+    assert _exit_code(argv) in (0, 1, 2)

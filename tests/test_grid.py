@@ -127,6 +127,33 @@ class TestClosure:
                 got = oracles.congruence_blocks(grid.congruence_closure(g, pairs))
                 assert got == oracles.naive_join_closure(n, pairs)
 
+    def test_closure_labels_match_worklist_oracle(self):
+        rng = random.Random(13)
+        for n in range(0, 9):
+            size = (n + 1) * (n + 1)
+            for _ in range(40):
+                pairs = [(rng.randrange(size), rng.randrange(size))
+                         for _ in range(rng.randrange(6))]
+                assert grid._closure_labels(n, pairs) == oracles.worklist_join_closure(n, pairs)
+
+    def test_closure_labels_match_worklist_oracle_at_n32(self):
+        rng = random.Random(17)
+        g = Grid(32)
+        for _ in range(3):
+            images = list(range(1, 33))
+            rng.shuffle(images)
+            pairs = [(g.index(x), g.index(y)) for i, j in enumerate(images, start=1)
+                     for x, y in grid._cell_generators(GridCell(i, j))]
+            assert grid._closure_labels(32, pairs) == oracles.worklist_join_closure(32, pairs)
+
+    def test_closure_labels_match_formula_on_every_permutation(self):
+        for n in range(0, 7):
+            g = Grid(n)
+            for pi in all_perms(n):
+                pairs = [(g.index(x), g.index(y)) for i, j in enumerate(pi.images, start=1)
+                         for x, y in grid._cell_generators(GridCell(i, j))]
+                assert grid._closure_labels(n, pairs) == grid._formula_labels(n, pi.images)
+
     def test_closure_is_join_compatible(self):
         rng = random.Random(5)
         for n in (2, 3):

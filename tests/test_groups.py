@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import oracles
 from slimlat import extract, grid, groups, lattice
 from slimlat.groups import csl_build, csl_dual_diagram, first_primes
 from slimlat.perm import LengthMismatch, Permutation, rho_class
@@ -125,6 +126,24 @@ class TestDualDiagram:
             assert extract.diagram_count(d.lattice) == len(rho_class(pi))
 
 
+class TestDivisorLattice:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_triple_loop(self, reverse):
+        for n in range(0, 7):
+            primes = first_primes(n)
+            for pi in all_perms(n):
+                elements = csl_build(primes, pi).elements
+                got = groups._divisor_lattice(elements, reverse=reverse)
+                assert got.covers == oracles.naive_divisor_covers(elements, reverse)
+
+    def test_any_divisor_set(self):
+        # not squarefree and not sorted: 12 covers 4 and 6, not 2
+        divisors = (12, 1, 4, 2, 6, 3)
+        for reverse in (False, True):
+            got = groups._divisor_lattice(divisors, reverse=reverse)
+            assert got.covers == oracles.naive_divisor_covers(divisors, reverse)
+
+
 class TestJordanHolder:
     def test_identity(self):
         inst = csl_build((2, 3, 5), Permutation((1, 2, 3)))
@@ -183,3 +202,21 @@ class TestFirstPrimes:
     def test_values(self):
         assert first_primes(0) == ()
         assert first_primes(6) == (2, 3, 5, 7, 11, 13)
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for p in range(-2, 10 ** 5):
+            assert groups._is_prime(p) == oracles.trial_division_is_prime(p), p
+
+    @pytest.mark.parametrize("composite", [561, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_rejected(self, composite):
+        # a Carmichael number, and the least strong pseudoprimes to the
+        # prime bases up to 7 and up to 31
+        with pytest.raises(groups.NotPrime):
+            csl_build((composite,), Permutation((1,)))
+
+    def test_large_prime_below_the_cap(self):
+        p = 2 ** 63 - 25
+        assert groups._is_prime(p)
+        assert csl_build((p,), Permutation((1,))).elements == (1, p)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,26 @@ N5 = FiniteLattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])  # 0<a<c<1, 0<b<
 M3 = FiniteLattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 CHAIN4 = lattice.chain(3)
 HEXAGON_POSET = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+
+
+def intersection_closed_family(rng, k):
+    """Random subsets of a k-set, closed under intersection and joined by the
+    whole set, ordered by inclusion: always a lattice."""
+    family = {(1 << k) - 1} | {rng.randrange(1 << k) for _ in range(rng.randrange(1, 7))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    sets = sorted(family)
+    index = {s: x for x, s in enumerate(sets)}
+
+    def below(a, b):
+        return a != b and a & b == a
+
+    covers = [(index[a], index[b]) for a in sets for b in sets
+              if below(a, b) and not any(below(a, c) and below(c, b) for c in sets)]
+    return FiniteLattice(len(sets), covers)
 
 
 class TestFromCovers:
@@ -77,6 +98,29 @@ class TestPredicates:
         assert lattice.is_semimodular(M3)
         assert lattice.is_semimodular(CHAIN4)
         assert not lattice.is_semimodular(N5)
+
+    def test_semimodular_matches_covering_condition_scan(self):
+        lattices = []
+        for n in range(0, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                built = grid.phi0(Permutation(images)).lattice
+                lattices += [built, lattice.dual(built)]
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            g = grid.Grid(n)
+            coords = list(g.elements())
+            for _ in range(60):
+                pairs = [(rng.choice(coords), rng.choice(coords))
+                         for _ in range(rng.randrange(4))]
+                lattices.append(grid.quotient(grid.congruence_closure(g, pairs))[0])
+        for _ in range(300):
+            lattices.append(intersection_closed_family(rng, rng.randrange(1, 5)))
+        outcomes = []
+        for lat in lattices:
+            got = lattice.is_semimodular(lat)
+            assert got == oracles.covering_condition_scan(lat)
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
 
     def test_irreducibles_on_chain(self):
         assert lattice.join_irreducibles(CHAIN4) == (1, 2, 3)
