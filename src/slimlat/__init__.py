@@ -32,8 +32,9 @@ from slimlat.lattice import (BorderedDiagram, FiniteLattice, automorphisms,
                              is_slim, join_irreducibles, meet_irreducibles,
                              narrows)
 from slimlat.perm import (Permutation, SegmentPartition, canonical_rep,
-                          count_classes, enumerate_reps, is_closed,
-                          rho_class, rho_equivalent, segments, validate)
+                          class_size, count_classes, enumerate_reps,
+                          is_closed, rho_class, rho_equivalent, segments,
+                          validate)
 
 __version__ = "0.1.0"
 
@@ -41,7 +42,7 @@ __all__ = [
     "__version__",
     # perm
     "Permutation", "SegmentPartition", "validate", "is_closed", "segments",
-    "rho_equivalent", "rho_class", "canonical_rep", "count_classes",
+    "rho_equivalent", "rho_class", "class_size", "canonical_rep", "count_classes",
     "enumerate_reps",
     # lattice
     "FiniteLattice", "BorderedDiagram", "from_covers", "is_semimodular",

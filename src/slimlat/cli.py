@@ -10,7 +10,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -24,6 +23,10 @@ PAIRWISE_CAP = 4
 DIAGRAMS_CAP = 5
 GROUPS_CAP = 4
 RANDOM_SIZE_CAP = 32
+# the largest permutation size build, render-grid and group-realize accept;
+# on a 2-vCPU VM, build at n = 96 takes 3.8 s for a random permutation (2,483
+# elements) and 26 s for the reversal (4,657 elements)
+SIZE_CAP = 96
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -32,7 +35,8 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     """Accepts one-line notation ("2,3,1") or cycles ("(1 2 3)(5 6 7)").
 
     Cycle input needs --n to mention trailing fixed points; otherwise the
-    largest moved point sets the size.
+    largest moved point sets the size.  A size above SIZE_CAP raises
+    TooLarge before anything of that size is allocated.
     """
     text = text.strip()
     if "(" in text:
@@ -47,6 +51,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
         if len(set(flat)) != len(flat):
             raise perm.DuplicateValue(f"cycles reuse a point: {text!r}")
         size = n if n is not None else max(flat, default=0)
+        _check_size(size)
         if any(not 1 <= x <= size for x in flat):
             raise perm.OutOfRange(f"cycle point outside 1..{size}")
         images = list(range(1, size + 1))
@@ -57,7 +62,13 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     images = [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
     if n is not None and n != len(images):
         raise ValueError(f"--n {n} does not match a permutation of size {len(images)}")
+    _check_size(len(images))
     return perm.validate(images)
+
+
+def _check_size(size: int) -> None:
+    if size > SIZE_CAP:
+        raise perm.TooLarge(f"permutation size {size} exceeds the cap {SIZE_CAP}")
 
 
 def _emit(obj) -> None:
@@ -98,7 +109,7 @@ def cmd_extract(args) -> int:
         "permutation": list(pi.images),
         "cycles": pi.cycle_string(),
         "segments": _segments_json(pi),
-        "rho_class_size": len(perm.rho_class(pi)),
+        "rho_class_size": perm.class_size(pi),
     })
     _note(f"extracted {pi.cycle_string()} from {args.diagram}")
     return 0
@@ -183,7 +194,7 @@ def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
     if kappa != grid.beta_from_formula(g, pi):
         failures.append("formula_oracle")
 
-    expected = frozenset(grid.GridCell(i, pi(i)) for i in range(1, n + 1))
+    expected = frozenset(itertools.starmap(grid.GridCell, enumerate(images, start=1)))
     if grid.source_cells(kappa) != expected or grid.regenerate(kappa) != kappa:
         failures.append("source_cells_regenerate")
 
@@ -193,7 +204,7 @@ def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
         and lattice.is_semimodular(lat)
         and lat.length == n
         and len(lattice.meet_irreducibles(lat)) == n
-        and all(len(lat.upper_covers(x)) <= 2 for x in range(lat.size))
+        and max(map(len, lat.covers_up)) <= 2
         and all(x in boundary for x in lattice.join_irreducibles(lat))
     )
     if not structural:
@@ -236,13 +247,6 @@ def cmd_verify(args) -> int:
     checks.append(_check_group_realization(min(n_max, GROUPS_CAP)))
     checks.append(_check_class_counts(min(n_max, perm.ENUMERATION_CAP)))
     checks.append(_check_random_round_trip(n_max, args.seed))
-
-    injected = os.environ.get("SLIMLAT_INJECT_FAULT")
-    if injected:
-        for check in checks:
-            if check["name"] == injected:
-                check["passed"] = False
-                check["details"] = "injected fault (test mode)"
 
     passed = all(check["passed"] for check in checks)
     report = {

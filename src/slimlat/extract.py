@@ -85,23 +85,19 @@ def _require_slim_semimodular(lattice: FiniteLattice) -> None:
 
 def _opposite_edges(lattice: FiniteLattice) -> dict[Edge, tuple[Edge, ...]]:
     def compute():
-        adj: dict[Edge, list[Edge]] = {}
+        adj: dict[Edge, tuple[Edge, ...]] = {}
         for w, a, b, t in covering_squares(lattice):
             for e, f in (((w, a), (b, t)), ((w, b), (a, t))):
-                adj.setdefault(e, []).append(f)
-                adj.setdefault(f, []).append(e)
+                adj[e] = adj.get(e, ()) + (f,)
+                adj[f] = adj.get(f, ()) + (e,)
         # planarity of slim lattices: an edge borders at most two squares
         if any(len(v) > 2 for v in adj.values()):
             raise NotSlimSemimodular("edge in more than two covering squares")
-        return {e: tuple(v) for e, v in adj.items()}
+        return adj
     return _cached(lattice, "opposite_edges", compute)
 
 
-def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
-    """The walk starting at the i-th left-chain edge (1-based)."""
-    _require_slim_semimodular(diagram.lattice)
-    adj = _opposite_edges(diagram.lattice)
-    start: Edge = (diagram.left_chain[i - 1], diagram.left_chain[i])
+def _walk(adj: dict[Edge, tuple[Edge, ...]], start: Edge) -> tuple[Edge, ...]:
     if len(adj.get(start, ())) > 1:
         raise TrajectoryAmbiguous(f"left edge {start} borders two squares")
     path = [start]
@@ -109,10 +105,11 @@ def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
     prev: Edge | None = None
     cur = start
     while True:
-        nxts = [e for e in adj.get(cur, ()) if e != prev]
-        if not nxts:
-            return Trajectory(tuple(path))
-        nxt = nxts[0]
+        for nxt in adj.get(cur, ()):
+            if nxt != prev:
+                break
+        else:
+            return tuple(path)
         if nxt in seen:
             raise TrajectoryAmbiguous(f"walk from {start} revisits {nxt}")
         path.append(nxt)
@@ -120,14 +117,23 @@ def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
         prev, cur = cur, nxt
 
 
+def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
+    """The walk starting at the i-th left-chain edge (1-based)."""
+    _require_slim_semimodular(diagram.lattice)
+    return Trajectory(_walk(_opposite_edges(diagram.lattice),
+                            (diagram.left_chain[i - 1], diagram.left_chain[i])))
+
+
 def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
     """Extraction by trajectories."""
+    _require_slim_semimodular(diagram.lattice)
+    adj = _opposite_edges(diagram.lattice)
     left, right = diagram.left_chain, diagram.right_chain
     left_index = {(left[k - 1], left[k]): k for k in range(1, len(left))}
     right_index = {(right[k - 1], right[k]): k for k in range(1, len(right))}
     images = []
     for i in range(1, diagram.n + 1):
-        path = trajectory(diagram, i).edges
+        path = _walk(adj, (left[i - 1], left[i]))
         rights = [right_index[e] for e in path if e in right_index]
         lefts = [left_index[e] for e in path if e in left_index]
         if len(rights) != 1 or len(lefts) != 1 or path[-1] not in right_index:
@@ -141,22 +147,25 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
     """Extraction by meet-irreducible witnesses."""
     _require_slim_semimodular(diagram.lattice)
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
+    up, down, height = lattice.up, lattice.down, lattice.height
     images = []
     for i in range(1, diagram.n + 1):
-        mask = lattice.up[left[i - 1]] & ~lattice.up[left[i]]
+        mask = up[left[i - 1]] & ~up[left[i]]
         members = []
         while mask:
             bit = mask & -mask
             members.append(bit.bit_length() - 1)
             mask ^= bit
-        if not all(lattice.comparable(x, y)
-                   for x, y in itertools.combinations(members, 2)):
-            raise UniquenessViolated(f"filter difference at step {i} is not a chain")
-        u = max(members, key=lambda x: lattice.height[x])
+        # a chain iff each member lies below the next one by height
+        members.sort(key=height.__getitem__)
+        for x, y in zip(members, members[1:]):
+            if not down[y] >> x & 1:
+                raise UniquenessViolated(f"filter difference at step {i} is not a chain")
+        u = members[-1]
         if len(lattice.upper_covers(u)) != 1:
             raise UniquenessViolated(f"witness {u} at step {i} is not meet-irreducible")
-        j = next(k for k in range(len(right)) if not lattice.leq(right[k], u))
-        images.append(j)
+        below_u = down[u]
+        images.append(next(j for j, d in enumerate(right) if not below_u >> d & 1))
     return Permutation(tuple(images))
 
 
@@ -165,8 +174,8 @@ def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
     _require_slim_semimodular(diagram.lattice)
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     n = diagram.n
-    eta = [[lattice.join(left[i], right[j]) for j in range(n + 1)]
-           for i in range(n + 1)]
+    join = lattice.join
+    eta = [[join(c, d) for d in right] for c in left]
     images = []
     for i in range(1, n + 1):
         hits = [j for j in range(1, n + 1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import LengthMismatch, Permutation
@@ -141,12 +141,7 @@ class GridCongruence:
     def block_tops(self) -> tuple[Coord, ...]:
         """The coordinatewise maximum of each block; a member whenever the
         partition is join-compatible."""
-        tops = [(-1, -1)] * self.num_blocks
-        side = self.n + 1
-        for e, lab in enumerate(self.labels):
-            i, j = divmod(e, side)
-            tops[lab] = (max(tops[lab][0], i), max(tops[lab][1], j))
-        return tuple(tops)
+        return tuple(zip(*_top_coordinates(self.n, self.labels)))
 
     def generator_pairs(self) -> list[tuple[Coord, Coord]]:
         """Pairs spanning every block (first member to each other member)."""
@@ -207,33 +202,25 @@ class GridCongruence:
         return cls.from_labels(n, labels, check=check)
 
 
+def _top_coordinates(n: int, labels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The largest row and the largest column of each label's members, in
+    one pass over the flat indices (-1 for a label with no member)."""
+    side = n + 1
+    top_i = [-1] * (max(labels) + 1)
+    top_j = top_i[:]
+    i = j = 0
+    for lab in labels:
+        top_i[lab] = i  # rows only grow along the flat order
+        if j > top_j[lab]:
+            top_j[lab] = j
+        j += 1
+        if j == side:
+            i += 1
+            j = 0
+    return top_i, top_j
+
+
 # -- constructors ---------------------------------------------------------------
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> bool:
-    """Merge the blocks of x and y; False when they were already one."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx == ry:
-        return False
-    if rx < ry:
-        parent[ry] = rx
-    else:
-        parent[rx] = ry
-    return True
-
-
-def _canonical_labels(parent: list[int]) -> tuple[int, ...]:
-    """Union-find blocks numbered by first occurrence in flat element order."""
-    canon: dict[int, int] = {}
-    return tuple(canon.setdefault(_find(parent, e), len(canon))
-                 for e in range(len(parent)))
-
 
 def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Canonical labels of the join-congruence generated by pairs of flat
@@ -245,52 +232,73 @@ def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]
     contain the top, and every closed set of a congruence holding the pairs
     is among them.  On the grid the up-set of (i, j) is a rectangle of bits,
     so one XOR per pair marks the elements that separate it.  The least
-    closed element above e is e itself when e is closed, and otherwise the
-    coordinatewise minimum of the least closed elements above (i+1, j) and
-    (i, j+1), one downward pass over the flat indices.  Two elements share
-    a block iff they share that closure.  Cost: O(|pairs| + (n+1)^2)
-    big-int operations.
+    closed element above e is the meet of the closed elements above e, so
+    each of its coordinates is the least one among them: e's own when e is
+    closed, and otherwise the smaller of the values at (i+1, j) and
+    (i, j+1), one downward pass over the rows.  Two elements share a block
+    iff they share that closure.  Cost: O(|pairs| + (n+1)^2) big-int
+    operations.
     """
     side = n + 1
     size = side * side
     rows = ((1 << size) - 1) // ((1 << side) - 1)  # bit (i, 0) of every row i
-
-    def up(e: int) -> int:
-        # the rectangle above (i, j), plus bits past the grid that are never read
-        i, j = divmod(e, side)
-        return ((1 << side) - (1 << j)) * rows << i * side
-
+    full = (1 << side) - 1
     separating = 0
     for a, b in pairs:
-        separating |= up(a) ^ up(b)
-    # (ci[e], cj[e]) is the least closed element above e
-    ci = [0] * size
-    cj = [0] * size
-    for e in range(size - 1, -1, -1):
-        i, j = divmod(e, side)
-        if not separating >> e & 1:
-            ci[e], cj[e] = i, j
-        elif i == n:
-            ci[e], cj[e] = ci[e + 1], cj[e + 1]
-        elif j == n:
-            ci[e], cj[e] = ci[e + side], cj[e + side]
-        else:
-            ci[e] = min(ci[e + 1], ci[e + side])
-            cj[e] = min(cj[e + 1], cj[e + side])
-    canon: dict[int, int] = {}
-    return tuple(canon.setdefault(ci[e] * side + cj[e], len(canon)) for e in range(size))
+        # the rectangles above a and b, plus bits past the grid that are never read
+        ai, aj = divmod(a, side)
+        bi, bj = divmod(b, side)
+        separating |= ((full >> aj << aj) * rows << ai * side
+                       ^ (full >> bj << bj) * rows << bi * side)
+    keys = [0] * size  # flat index of the least closed element above e
+    # the coordinates of the least closed elements above row i + 1; past the
+    # grid there is none, and the sentinel `side` loses every comparison
+    above_i = above_j = [side] * (side + 1)
+    for i in range(n, -1, -1):
+        bits = separating >> i * side
+        row_i = [side] * (side + 1)
+        row_j = [side] * (side + 1)
+        e = i * side + n
+        for j in range(n, -1, -1):
+            if bits >> j & 1:
+                ci, cj = row_i[j + 1], row_j[j + 1]
+                if above_i[j] < ci:
+                    ci = above_i[j]
+                if above_j[j] < cj:
+                    cj = above_j[j]
+            else:
+                ci, cj = i, j
+            row_i[j] = ci
+            row_j[j] = cj
+            keys[e] = ci * side + cj
+            e -= 1
+        above_i, above_j = row_i, row_j
+    canon = {key: lab for lab, key in enumerate(dict.fromkeys(keys))}
+    return tuple(map(canon.__getitem__, keys))
 
 
 def congruence_closure(grid: Grid, pairs: Iterable[tuple[Coord, Coord]]
                        ) -> GridCongruence:
     """Smallest join-congruence containing the given pairs."""
-    flat = [(grid.index(x), grid.index(y)) for x, y in pairs]
-    return GridCongruence(grid.n, _closure_labels(grid.n, flat))
+    n = grid.n
+    side = n + 1
+    flat = []
+    for x, y in pairs:
+        (xi, xj), (yi, yj) = x, y
+        if not (0 <= xi <= n and 0 <= xj <= n and 0 <= yi <= n and 0 <= yj <= n):
+            grid.index(x), grid.index(y)  # raises IndexError naming the stray one
+        flat.append((xi * side + xj, yi * side + yj))
+    return GridCongruence(n, _closure_labels(n, flat))
 
 
-def _cell_generators(cell: GridCell) -> list[tuple[Coord, Coord]]:
-    i, j = cell
-    return [((i - 1, j), (i, j)), ((i, j - 1), (i, j))]
+def _cell_pairs(n: int, cells: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The generators of the cells, as pairs of flat indices."""
+    side = n + 1
+    out = []
+    for i, j in cells:
+        e = i * side + j
+        out += ((e - side, e), (e - 1, e))
+    return out
 
 
 def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
@@ -298,7 +306,7 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
     i, j = cell
     if not (1 <= i <= grid.n and 1 <= j <= grid.n):
         raise CellOutOfRange(f"cell {tuple(cell)} outside 1..{grid.n}")
-    return congruence_closure(grid, _cell_generators(GridCell(i, j)))
+    return GridCongruence(grid.n, _closure_labels(grid.n, _cell_pairs(grid.n, [(i, j)])))
 
 
 @lru_cache(maxsize=1024)
@@ -307,19 +315,35 @@ def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
     # join-congruence are convex and join-closed, so its collapsed covering
     # pairs already generate it as an equivalence
     side = n + 1
-    parent = list(range(side * side))
+    size = side * side
+    parent = list(range(size))
+
+    def merge(x: int, y: int) -> None:
+        # the smaller root wins, so every root is its block's first element
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+
     inv = [0] * n
     for i, v in enumerate(images, start=1):
         inv[v - 1] = i
-    for i in range(1, side):
-        for j in range(side):
-            if images[i - 1] <= j:  # c-direction edge ((i-1,j),(i,j))
-                _union(parent, (i - 1) * side + j, i * side + j)
-    for i in range(side):
-        for j in range(1, side):
-            if inv[j - 1] <= i:  # d-direction edge ((i,j-1),(i,j))
-                _union(parent, i * side + j - 1, i * side + j)
-    return _canonical_labels(parent)
+        # c-direction edges ((i-1, j), (i, j)) with j >= pi(i)
+        for e in range(i * side + v, (i + 1) * side):
+            merge(e - side, e)
+    for j, i in enumerate(inv, start=1):
+        # d-direction edges ((i, j-1), (i, j)) with i >= pi^-1(j)
+        for e in range(i * side + j, size, side):
+            merge(e - 1, e)
+    # parents point downward, so one upward sweep leaves every root in place
+    for e in range(size):
+        parent[e] = parent[parent[e]]
+    canon = {root: lab for lab, root in enumerate(dict.fromkeys(parent))}
+    return tuple(map(canon.__getitem__, parent))
 
 
 def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None
@@ -331,8 +355,8 @@ def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None
     """
     if pi.n != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
-    kappa = congruence_closure(grid, [pair for i, j in enumerate(pi.images, start=1)
-                                      for pair in _cell_generators(GridCell(i, j))])
+    kappa = GridCongruence(grid.n, _closure_labels(
+        grid.n, _cell_pairs(grid.n, enumerate(pi.images, start=1))))
     if check is None:
         check = __debug__
     if check and kappa.labels != _formula_labels(grid.n, pi.images):
@@ -363,24 +387,20 @@ def beta_formula(n: int, pi: Permutation, edge: tuple[Coord, Coord]) -> bool:
 
 # -- cell classification --------------------------------------------------------
 
-def _cell_labels(kappa: GridCongruence, cell: GridCell) -> tuple[int, int, int, int]:
-    i, j = cell
-    side = kappa.n + 1
-    w = kappa.labels[(i - 1) * side + (j - 1)]
-    a = kappa.labels[(i - 1) * side + j]
-    b = kappa.labels[i * side + (j - 1)]
-    t = kappa.labels[i * side + j]
-    return w, a, b, t
-
-
 def forbidden_cells(kappa: GridCongruence) -> frozenset[GridCell]:
     """Cells whose bottom and side blocks are pairwise distinct while the top
     falls into a side block; witnesses that the quotient map breaks a cover."""
+    side = kappa.n + 1
+    labels = kappa.labels
     out = []
-    for cell in Grid(kappa.n).cells():
-        w, a, b, t = _cell_labels(kappa, cell)
-        if w != a and w != b and a != b and t in (a, b):
-            out.append(cell)
+    e = side  # the flat index of the top (i, j) of the cell
+    for i in range(1, side):
+        for j in range(1, side):
+            e += 1
+            w, a, b, t = labels[e - side - 1], labels[e - side], labels[e - 1], labels[e]
+            if (t == a or t == b) and w != a and w != b and a != b:
+                out.append(GridCell(i, j))
+        e += 1
     return frozenset(out)
 
 
@@ -390,11 +410,17 @@ def is_cover_preserving(kappa: GridCongruence) -> bool:
 
 def source_cells(kappa: GridCongruence) -> frozenset[GridCell]:
     """Cells whose two side elements merge with the top but not the bottom."""
+    side = kappa.n + 1
+    labels = kappa.labels
     out = []
-    for cell in Grid(kappa.n).cells():
-        w, a, b, t = _cell_labels(kappa, cell)
-        if a == b == t != w:
-            out.append(cell)
+    e = side  # the flat index of the top (i, j) of the cell
+    for i in range(1, side):
+        for j in range(1, side):
+            e += 1
+            t = labels[e]
+            if labels[e - side] == t and labels[e - 1] == t and labels[e - side - 1] != t:
+                out.append(GridCell(i, j))
+        e += 1
     return frozenset(out)
 
 
@@ -413,9 +439,8 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
             raise HypothesisViolated(f"right boundary edge {i - 1}->{i} collapsed")
     if not is_cover_preserving(kappa):
         raise HypothesisViolated("congruence has a forbidden cell")
-    pairs = [pair for cell in sorted(source_cells(kappa))
-             for pair in _cell_generators(cell)]
-    return congruence_closure(Grid(kappa.n), pairs)
+    pairs = _cell_pairs(kappa.n, sorted(source_cells(kappa)))
+    return GridCongruence(kappa.n, _closure_labels(kappa.n, pairs))
 
 
 # -- the quotient construction ---------------------------------------------------
@@ -440,28 +465,32 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
     """
     n, labels = kappa.n, kappa.labels
     side = n + 1
-    tops = kappa.block_tops()
-    nblocks = len(tops)
-    for lab, (i, j) in enumerate(tops):
+    top_i, top_j = _top_coordinates(n, labels)
+    nblocks = len(top_i)
+    for lab, (i, j) in enumerate(zip(top_i, top_j)):
         if labels[i * side + j] != lab:
             raise ValueError("partition is not join-closed; no quotient lattice")
 
     targets = [0] * nblocks  # bitmask of the blocks an uncollapsed edge leads to
-    for e, lab in enumerate(labels):
-        # the c-direction edge to e + side, and the d-direction edge to e + 1
-        for f in ((e + side, e + 1) if e % side != n else (e + side,)):
-            if f >= len(labels) or labels[f] == lab:
-                continue
-            other = labels[f]
-            if tops[lab][0] > tops[other][0] or tops[lab][1] > tops[other][1]:
-                raise ValueError("partition is not join-compatible; no quotient lattice")
-            targets[lab] |= 1 << other
+    # the images of the c-direction edges (e, e + side) and, row by row, of
+    # the d-direction edges (e, e + 1); most edges share their image
+    images = set(zip(labels, labels[side:]))
+    for k in range(0, len(labels), side):
+        row = labels[k:k + side]
+        images.update(zip(row, row[1:]))
+    for lab, other in images:
+        if lab == other:
+            continue
+        if top_i[lab] > top_i[other] or top_j[lab] > top_j[other]:
+            raise ValueError("partition is not join-compatible; no quotient lattice")
+        targets[lab] |= 1 << other
 
     # a strictly larger block has a top of strictly larger rank i + j, so
     # taking blocks by decreasing rank finds every strict up-set it needs
+    rank = list(map(int.__add__, top_i, top_j))
     above = [0] * nblocks
     covers = []
-    for x in sorted(range(nblocks), key=lambda b: sum(tops[b]), reverse=True):
+    for x in sorted(range(nblocks), key=rank.__getitem__, reverse=True):
         reach = 0
         rest = targets[x]
         while rest:
@@ -474,7 +503,7 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
             bit = rest & -rest
             covers.append((x, bit.bit_length() - 1))
             rest ^= bit
-    return FiniteLattice(nblocks, covers), tops
+    return FiniteLattice(nblocks, covers), tuple(zip(top_i, top_j))
 
 
 @lru_cache(maxsize=1024)

@@ -50,9 +50,13 @@ class InvalidDiagram(ValueError):
 class FiniteLattice:
     """An immutable finite lattice with eagerly computed order data.
 
-    Validation and the order/join/meet tables cost O(size^2) operations on
-    size-bit masks: one lowest or highest set bit and one comparison per
-    pair of elements.  Every later query is O(1) or a bitmask operation.
+    The up-set and down-set masks cost O(size + |covers|) operations on
+    size-bit masks.  The join and meet tables are filled over incomparable
+    pairs only, with one lowest or highest set bit and one comparison per
+    pair; a comparable pair needs no entry, since its join is the larger
+    element and its meet the smaller one.  Together these validate that the
+    order is a lattice.  The tables take O(size^2) memory.  Every later
+    query is O(1) or a bitmask operation.
     """
 
     __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
@@ -73,18 +77,19 @@ class FiniteLattice:
         self.covers = frozenset(cover_set)
         ups = [[] for _ in range(size)]
         downs = [[] for _ in range(size)]
-        for a, b in cover_set:
+        for a, b in sorted(cover_set):  # fills every list in ascending order
             ups[a].append(b)
             downs[b].append(a)
-        self.covers_up = tuple(tuple(sorted(xs)) for xs in ups)
-        self.covers_down = tuple(tuple(sorted(xs)) for xs in downs)
+        self.covers_up = tuple(map(tuple, ups))
+        self.covers_down = tuple(map(tuple, downs))
 
-        order = self._topological_order()
-        self._build_reachability(order)
+        self._build_heights(self._topological_order())
+        # a height-sorted linear extension; the tables number elements by it
+        order = sorted(range(size), key=self.height.__getitem__)
+        ranked_up, ranked_down = self._build_cones(order)
         self._check_reduced()
         self._find_bounds()
-        self._build_heights(order)
-        self._build_tables()
+        self._build_tables(order, ranked_up, ranked_down)
         self._cache: dict = {}
 
     # -- construction internals -------------------------------------------
@@ -104,27 +109,39 @@ class FiniteLattice:
             raise Cyclic("cover relation has a cycle")
         return order
 
-    def _cones(self, order: list[int], bits: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Up-set and down-set masks of every element, where bits[x] is the
-        mask of x alone; order must be a linear extension."""
-        up = [0] * self.size
-        for x in reversed(order):
-            mask = bits[x]
+    def _build_heights(self, order: list[int]) -> None:
+        h = [0] * self.size
+        for x in order:
+            below = self.covers_down[x]
+            if below:
+                h[x] = max(map(h.__getitem__, below)) + 1
+        self.height = tuple(h)
+
+    def _build_cones(self, order: list[int]) -> tuple[list[int], list[int]]:
+        """Sets up and down, the up-set and down-set masks by element id, and
+        returns them again with every element's bit at its position in the
+        linear extension order."""
+        size = self.size
+        up = [0] * size
+        down = [0] * size
+        up_r = [0] * size
+        down_r = [0] * size
+        for k in range(size - 1, -1, -1):
+            x = order[k]
+            mask, ranked = 1 << x, 1 << k
             for y in self.covers_up[x]:
                 mask |= up[y]
-            up[x] = mask
-        down = [0] * self.size
-        for x in order:
-            mask = bits[x]
+                ranked |= up_r[y]
+            up[x], up_r[x] = mask, ranked
+        for k, x in enumerate(order):
+            mask, ranked = 1 << x, 1 << k
             for y in self.covers_down[x]:
                 mask |= down[y]
-            down[x] = mask
-        return up, down
-
-    def _build_reachability(self, order: list[int]) -> None:
-        up, down = self._cones(order, [1 << x for x in range(self.size)])
+                ranked |= down_r[y]
+            down[x], down_r[x] = mask, ranked
         self.up = tuple(up)
         self.down = tuple(down)
+        return up_r, down_r
 
     def _check_reduced(self) -> None:
         for a, b in self.covers:
@@ -140,31 +157,25 @@ class FiniteLattice:
         self.bottom = bottoms[0]
         self.top = tops[0]
 
-    def _build_heights(self, order: list[int]) -> None:
-        h = [0] * self.size
-        for x in order:
-            for y in self.covers_down[x]:
-                h[x] = max(h[x], h[y] + 1)
-        self.height = tuple(h)
-
-    def _build_tables(self) -> None:
-        # Renumber the elements by position in a height-sorted linear
-        # extension.  A join is below every other common upper bound, so it
-        # sits at the lowest set bit of the renumbered up[i] & up[j], and a
-        # meet at the highest set bit of down[i] & down[j]; when the bound
-        # is missing, the element found there has a different cone.
+    def _build_tables(self, order: list[int], up: list[int], down: list[int]) -> None:
+        # A join is below every other common upper bound, so it sits at the
+        # lowest set bit of the ranked up[i] & up[j], and a meet at the
+        # highest set bit of down[i] & down[j]; when the bound is missing,
+        # the element found there has a different cone.  Only incomparable
+        # pairs are stored: for a comparable pair the join is the larger
+        # element and the meet the smaller one, and both exist.
         size = self.size
-        order = sorted(range(size), key=self.height.__getitem__)
-        bits = [0] * size
-        for k, x in enumerate(order):
-            bits[x] = 1 << k
-        up, down = self._cones(order, bits)
-
+        full = (1 << size) - 1
         joins = [[0] * size for _ in range(size)]
         meets = [[0] * size for _ in range(size)]
-        for i in range(size):
-            up_i, down_i = up[i], down[i]
-            for j in range(i, size):
+        for i, (up_i, down_i) in enumerate(zip(up, down)):
+            # the incomparable j > i, ascending: the pairs are met in the
+            # same i-major order as a scan over all j >= i
+            rest = (full ^ (self.up[i] | self.down[i])) >> i << i
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
                 common = up_i & up[j]
                 u = order[(common & -common).bit_length() - 1]
                 if up[u] != common:
@@ -175,6 +186,7 @@ class FiniteLattice:
                 if down[u] != common:
                     raise NotALattice(f"elements {i} and {j} have no meet")
                 meets[i][j] = meets[j][i] = u
+        # tuple rows: the garbage collector stops tracking tuples of ints
         self._joins = tuple(map(tuple, joins))
         self._meets = tuple(map(tuple, meets))
 
@@ -190,9 +202,17 @@ class FiniteLattice:
         return self.leq(x, y) or self.leq(y, x)
 
     def join(self, x: int, y: int) -> int:
+        if self.down[y] >> x & 1:
+            return y
+        if self.down[x] >> y & 1:
+            return x
         return self._joins[x][y]
 
     def meet(self, x: int, y: int) -> int:
+        if self.down[y] >> x & 1:
+            return x
+        if self.down[x] >> y & 1:
+            return y
         return self._meets[x][y]
 
     def is_cover(self, x: int, y: int) -> bool:
@@ -290,22 +310,38 @@ def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
     return _cached(lattice, "mi", compute)
 
 
-def _has_three_antichain(lattice: FiniteLattice, elems: Sequence[int]) -> bool:
-    comp = [lattice.up[x] | lattice.down[x] for x in range(lattice.size)]
-    for a, b in itertools.combinations(elems, 2):
-        if comp[a] >> b & 1:
-            continue
-        for c in elems:
-            if c != a and c != b and not comp[c] >> a & 1 and not comp[c] >> b & 1:
-                return True
-    return False
-
-
 def is_slim(lattice: FiniteLattice) -> bool:
     """True iff the join-irreducibles contain no three-element antichain
-    (equivalently, they are a union of two chains)."""
+    (equivalently, they are a union of two chains).
+
+    The incomparability graph of a poset is perfect, so it has no triangle
+    iff it is bipartite; one 2-colouring of the join-irreducibles decides
+    it.  Cost: O(k^2) bitmask operations for k join-irreducibles.
+    """
     def compute():
-        return not _has_three_antichain(lattice, join_irreducibles(lattice))
+        ji = join_irreducibles(lattice)
+        members = 0
+        for x in ji:
+            members |= 1 << x
+        colour: dict[int, int] = {}
+        for start in ji:
+            if start in colour:
+                continue
+            colour[start] = 0
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                rest = members & ~(lattice.up[x] | lattice.down[x])
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    y = low.bit_length() - 1
+                    if y not in colour:
+                        colour[y] = 1 - colour[x]
+                        stack.append(y)
+                    elif colour[y] == colour[x]:
+                        return False
+        return True
     return _cached(lattice, "slim", compute)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+from slimlat.grid import Grid
 from slimlat.lattice import (automorphisms, interval_sublattice, join_irreducibles,
                              maximal_chains, narrows)
 
@@ -143,6 +144,41 @@ def congruence_blocks(kappa):
     return frozenset(frozenset(block) for block in kappa.blocks())
 
 
+def cell_generators(cell):
+    """The two upper edges of a 4-cell, as pairs of grid coordinates."""
+    i, j = cell
+    return [((i - 1, j), (i, j)), ((i, j - 1), (i, j))]
+
+
+def cell_labels(kappa, cell):
+    """Block labels of the bottom, the two sides and the top of a 4-cell."""
+    i, j = cell
+    return (kappa.label_of((i - 1, j - 1)), kappa.label_of((i - 1, j)),
+            kappa.label_of((i, j - 1)), kappa.label_of((i, j)))
+
+
+def forbidden_cells_by_walk(kappa):
+    """Forbidden cells by walking every GridCell of the grid: bottom and
+    sides in pairwise distinct blocks, the top in a side block."""
+    out = []
+    for cell in Grid(kappa.n).cells():
+        w, a, b, t = cell_labels(kappa, cell)
+        if w != a and w != b and a != b and t in (a, b):
+            out.append(cell)
+    return frozenset(out)
+
+
+def source_cells_by_walk(kappa):
+    """Source cells by walking every GridCell of the grid: both sides in the
+    top's block, the bottom outside it."""
+    out = []
+    for cell in Grid(kappa.n).cells():
+        w, a, b, t = cell_labels(kappa, cell)
+        if a == b == t != w:
+            out.append(cell)
+    return frozenset(out)
+
+
 def naive_quotient_covers(kappa):
     """Covers of the quotient by a join-congruence, by the triple loop over
     blocks: X <= Y iff joining their tops lands in Y, and X is covered by Y
@@ -177,6 +213,19 @@ def naive_bound_tables(lattice):
     joins = tuple(tuple(bound(lattice.up, i, j) for j in elems) for i in elems)
     meets = tuple(tuple(bound(lattice.down, i, j) for j in elems) for i in elems)
     return joins, meets
+
+
+def has_three_antichain(lattice, elems):
+    """True iff three of the elements are pairwise incomparable, by the
+    cubic scan over pairs and a third element."""
+    comp = [lattice.up[x] | lattice.down[x] for x in range(lattice.size)]
+    for a, b in itertools.combinations(elems, 2):
+        if comp[a] >> b & 1:
+            continue
+        for c in elems:
+            if c != a and c != b and not comp[c] >> a & 1 and not comp[c] >> b & 1:
+                return True
+    return False
 
 
 def covering_condition_scan(lattice):

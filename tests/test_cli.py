@@ -56,6 +56,25 @@ class TestParsePermutation:
         with pytest.raises(ValueError):
             parse_permutation("2,1", n=3)
 
+    def test_size_cap(self):
+        cap = cli.SIZE_CAP
+        assert cap >= 96
+        assert parse_permutation(f"(1 {cap})").n == cap
+        assert parse_permutation("()", n=cap).n == cap
+        assert parse_permutation(",".join(map(str, range(1, cap + 1)))).n == cap
+        for text, n in ((f"(1 {cap + 1})", None), ("(1 3000000)", None), ("()", cap + 1),
+                        (",".join(map(str, range(1, cap + 2))), None)):
+            with pytest.raises(perm.TooLarge):
+                parse_permutation(text, n=n)
+
+    @pytest.mark.parametrize("command", ["build", "render-grid", "group-realize"])
+    def test_over_the_cap_exits_2_at_once(self, capsys, command):
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, "--perm", "(1 3000000)")
+        assert time.perf_counter() - started < 0.1
+        assert code == 2 and out == ""
+        assert "TooLarge" in err
+
 
 class TestBuild:
     def test_transposition(self, capsys):
@@ -103,6 +122,18 @@ class TestExtract:
         assert obj["segments"] == [[1, 2, 3]]
         assert obj["rho_class_size"] == 2
         assert obj["cycles"] == "(1 2 3)"
+
+    def test_many_segments_is_quick(self, capsys, tmp_path):
+        # (2,3,1) thirty times over: a class of 2^30 permutations
+        images = tuple(3 * k + v for k in range(30) for v in (2, 3, 1))
+        path = self.write_diagram(tmp_path, images)
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "extract", "--diagram", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["permutation"] == list(images)
+        assert obj["rho_class_size"] == 1073741824
 
     def test_chain(self, capsys, tmp_path):
         path = self.write_diagram(tmp_path, (1, 2, 3))
@@ -260,7 +291,7 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"] is True
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLIMLAT_INJECT_FAULT", "round_trip")
+        monkeypatch.setattr(cli, "_check_bundle", lambda task: ["round_trip"])
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 1
         report = json.loads(out)
@@ -322,9 +353,13 @@ def test_import_leaves_out_process_pool():
 
 _valid = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))).map(Permutation)
+# points below 10, or past the size cap: sizes in between cost seconds per
+# command and test nothing the small ones do not
+_large = st.sampled_from([cli.SIZE_CAP + 1, 10 ** 6, 3_000_000, 2 ** 63])
 _points = st.one_of(
     _valid.map(lambda p: [str(x) for x in p.images]),
     st.lists(st.one_of(st.integers(min_value=-1, max_value=9).map(str),
+                       _large.map(str),
                        st.sampled_from(["x", "1.5", "", "-"])), max_size=8))
 _one_line = st.builds(lambda sep, toks: sep.join(toks), st.sampled_from([",", " ", ", "]), _points)
 _cycles = st.one_of(
@@ -335,8 +370,8 @@ _cycles = st.one_of(
 
 @st.composite
 def _perm_texts(draw):
-    """One-line or cycle notation, lists of up to 8 points below 10, valid
-    or not."""
+    """One-line or cycle notation, lists of up to 8 points below 10 or past
+    the size cap, valid or not."""
     text = draw(st.one_of(_one_line, _cycles))
     if draw(st.booleans()):  # break it: insert a stray token without digits
         at = draw(st.integers(min_value=0, max_value=len(text)))

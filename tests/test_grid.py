@@ -113,7 +113,7 @@ class TestClosure:
             k1, k2 = grid.jcong_cell(g, c1), grid.jcong_cell(g, c2)
             joined = grid.congruence_closure(g, k1.generator_pairs() + k2.generator_pairs())
             direct = grid.congruence_closure(
-                g, grid._cell_generators(c1) + grid._cell_generators(c2))
+                g, oracles.cell_generators(c1) + oracles.cell_generators(c2))
             assert joined == direct
 
     def test_random_generators_match_naive_oracle(self):
@@ -143,7 +143,7 @@ class TestClosure:
             images = list(range(1, 33))
             rng.shuffle(images)
             pairs = [(g.index(x), g.index(y)) for i, j in enumerate(images, start=1)
-                     for x, y in grid._cell_generators(GridCell(i, j))]
+                     for x, y in oracles.cell_generators(GridCell(i, j))]
             assert grid._closure_labels(32, pairs) == oracles.worklist_join_closure(32, pairs)
 
     def test_closure_labels_match_formula_on_every_permutation(self):
@@ -151,7 +151,7 @@ class TestClosure:
             g = Grid(n)
             for pi in all_perms(n):
                 pairs = [(g.index(x), g.index(y)) for i, j in enumerate(pi.images, start=1)
-                         for x, y in grid._cell_generators(GridCell(i, j))]
+                         for x, y in oracles.cell_generators(GridCell(i, j))]
                 assert grid._closure_labels(n, pairs) == grid._formula_labels(n, pi.images)
 
     def test_closure_is_join_compatible(self):
@@ -197,7 +197,7 @@ class TestBeta:
             for pi in all_perms(n):
                 pairs = [pair
                          for i in range(1, n + 1)
-                         for pair in grid._cell_generators(GridCell(i, pi(i)))]
+                         for pair in oracles.cell_generators(GridCell(i, pi(i)))]
                 got = oracles.congruence_blocks(grid.beta_from_perm(Grid(n), pi))
                 assert got == oracles.naive_join_closure(n, pairs)
 
@@ -270,6 +270,29 @@ class TestCellClassification:
         kappa = grid.beta_from_perm(Grid(3), Permutation((1, 2, 3)))
         assert grid.source_cells(kappa) == frozenset(
             {GridCell(1, 1), GridCell(2, 2), GridCell(3, 3)})
+
+    def test_cells_match_walk_oracles(self):
+        kappas = []
+        for n in range(0, 6):
+            g = Grid(n)
+            kappas += [grid.beta_from_formula(g, pi) for pi in all_perms(n)]
+            cells = list(g.cells())
+            kappas += [grid.jcong_cell(g, c) for c in cells]
+            kappas += [grid.congruence_closure(g, k1.generator_pairs() + k2.generator_pairs())
+                       for k1, k2 in itertools.combinations(kappas[-len(cells):], 2)]
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randrange(0, 6)
+            side = n + 1
+            labels = [rng.randrange(side * side // 2 + 1) for _ in range(side * side)]
+            kappas.append(GridCongruence.from_labels(n, labels, check=False))
+        flagged = 0
+        for kappa in kappas:
+            forbidden = grid.forbidden_cells(kappa)
+            assert forbidden == oracles.forbidden_cells_by_walk(kappa), kappa
+            assert grid.source_cells(kappa) == oracles.source_cells_by_walk(kappa), kappa
+            flagged += bool(forbidden)
+        assert flagged > 100
 
 
 class TestRegenerate:

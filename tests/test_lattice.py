@@ -55,14 +55,21 @@ class TestFromCovers:
             lattice.from_covers(6, [(b, a) for a, b in HEXAGON_POSET])
 
     def test_tables_match_naive_scan(self):
+        lattices = []
         for n in range(0, 6):
             for images in itertools.permutations(range(1, n + 1)):
                 built = grid.phi0(Permutation(images)).lattice
-                for lat in (built, lattice.dual(built)):
-                    elems = range(lat.size)
-                    joins = tuple(tuple(lat.join(i, j) for j in elems) for i in elems)
-                    meets = tuple(tuple(lat.meet(i, j) for j in elems) for i in elems)
-                    assert (joins, meets) == oracles.naive_bound_tables(lat)
+                lattices += [built, lattice.dual(built)]
+        rng = random.Random(16)
+        for n in (16, 18, 20, 22, 24):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            lattices.append(grid.phi0(Permutation(tuple(images))).lattice)
+        for lat in lattices:
+            elems = range(lat.size)
+            joins = tuple(tuple(lat.join(i, j) for j in elems) for i in elems)
+            meets = tuple(tuple(lat.meet(i, j) for j in elems) for i in elems)
+            assert (joins, meets) == oracles.naive_bound_tables(lat)
 
     def test_transitive_edge_rejected(self):
         with pytest.raises(lattice.NotReduced):
@@ -139,6 +146,21 @@ class TestPredicates:
         assert lattice.is_slim(CHAIN4)
         assert lattice.is_slim(N5)
         assert not lattice.is_slim(M3)  # three pairwise incomparable atoms
+
+    def test_slim_matches_three_antichain_scan(self):
+        lattices = [M3, lattice.dual(M3)]
+        for n in range(0, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                built = grid.phi0(Permutation(images)).lattice
+                lattices += [built, lattice.dual(built)]
+        rng = random.Random(6)
+        lattices += [intersection_closed_family(rng, rng.randrange(1, 6)) for _ in range(300)]
+        outcomes = []
+        for lat in lattices:
+            got = lattice.is_slim(lat)
+            assert got == (not oracles.has_three_antichain(lat, lattice.join_irreducibles(lat)))
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
 
     def test_dually_slim(self):
         assert lattice.is_dually_slim(B2)

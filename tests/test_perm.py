@@ -199,6 +199,12 @@ class TestRhoClass:
                     expected *= 2
             assert len(perm.rho_class(p)) == expected
 
+    def test_class_size_matches_enumerated_class(self):
+        for n in range(0, 8):
+            for images in all_images(n):
+                p = Permutation(images)
+                assert perm.class_size(p) == len(perm.rho_class(p)), images
+
     def test_class_members_are_equivalent(self):
         for images in all_images(4):
             p = Permutation(images)
