@@ -25,7 +25,11 @@ glued-sum component (the interval between consecutive narrows) has one pair
 of boundary chains, found by splitting its join-irreducibles into two chains
 and walking the forced maximal chain through each.  A component contributes
 one orientation if an automorphism of it swaps the two chains and two
-otherwise, so both functions are polynomial in the lattice size.
+otherwise.  Reflecting a component inverts its segment of the permutation,
+so the orientation counts are read off one extraction of the diagram the
+chain pairs assemble: one where the segment is an involution, two
+elsewhere.  Both functions are polynomial in the lattice size and run no
+isomorphism search.
 """
 from __future__ import annotations
 
@@ -35,9 +39,8 @@ from dataclasses import dataclass
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, _cached,
                              _search_isomorphisms, covering_squares,
-                             interval_sublattice, is_semimodular, is_slim,
-                             narrows)
-from slimlat.perm import Permutation, rho_class
+                             is_semimodular, is_slim, narrows)
+from slimlat.perm import Permutation, is_involution_on, rho_class
 
 Edge = tuple[int, int]
 Chain = tuple[int, ...]
@@ -256,25 +259,37 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
             walk([x for x in ji if colour[x] == 1]))
 
 
-def _reflection_similar(lattice: FiniteLattice, lo: int, hi: int,
-                        u: Chain, v: Chain) -> bool:
-    """True iff some automorphism of [lo, hi] swaps the chains u and v."""
-    sub, elems = interval_sublattice(lattice, lo, hi)
-    index = {x: k for k, x in enumerate(elems)}
-    d = BorderedDiagram(sub, tuple(index[x] for x in u), tuple(index[x] for x in v))
-    return boundarily_similar(d, d.reflected())
+def _assemble(lattice: FiniteLattice, pairs) -> BorderedDiagram:
+    """The diagram whose left (right) chain runs through the first (second)
+    chain of each component's (left, right) pair, bottom to top."""
+    left: list[int] = [lattice.bottom]
+    right: list[int] = [lattice.bottom]
+    for u, v in pairs:
+        left.extend(u[1:])
+        right.extend(v[1:])
+    return BorderedDiagram(lattice, tuple(left), tuple(right))
 
 
 def _orientation_options(lattice: FiniteLattice) -> list[tuple[tuple[Chain, Chain], ...]]:
     """Per glued-sum component, its (left, right) boundary pairs up to
-    boundary similarity: one when the chains coincide or an automorphism of
-    the component swaps them, both orientations otherwise."""
+    boundary similarity: one when an automorphism of the component swaps
+    its two chains, both orientations otherwise.
+
+    Reflecting a component inverts its segment of the permutation, and
+    diagrams are boundarily similar iff their permutations are equal, so an
+    automorphism swaps the chains iff that segment is an involution.  One
+    extraction of the diagram assembled from the lexicographically smaller
+    orientations gives every segment: the component between the narrows lo
+    and hi owns the positions height(lo) + 1 .. height(hi).
+    """
     _require_slim_semimodular(lattice)
     nar = narrows(lattice)
+    pairs = [_component_chain_pair(lattice, lo, hi) for lo, hi in zip(nar, nar[1:])]
+    pi = pi2_meet_irreducibles(_assemble(lattice, pairs))
+    height = lattice.height
     options = []
-    for lo, hi in zip(nar, nar[1:]):
-        u, v = _component_chain_pair(lattice, lo, hi)
-        if u == v or _reflection_similar(lattice, lo, hi, u, v):
+    for (u, v), lo, hi in zip(pairs, nar, nar[1:]):
+        if is_involution_on(pi, height[lo] + 1, height[hi]):
             options.append(((u, v),))
         else:
             options.append(((u, v), (v, u)))
@@ -289,25 +304,18 @@ def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:
     component separately, and two diagrams are boundarily similar iff they
     agree on every component up to an automorphism of that component.  The
     diagrams are therefore the products of the per-component orientation
-    choices; a component whose automorphisms swap its boundary chains keeps
-    only the lexicographically smaller orientation.  Polynomial in the
-    lattice size.
+    choices; a component whose segment of the permutation is an involution
+    keeps only the lexicographically smaller orientation.  The orientations
+    are read off one extraction, so this is polynomial in the lattice size.
     """
-    out = []
-    for combo in itertools.product(*_orientation_options(lattice)):
-        left: list[int] = [lattice.bottom]
-        right: list[int] = [lattice.bottom]
-        for u, v in combo:
-            left.extend(u[1:])
-            right.extend(v[1:])
-        out.append(BorderedDiagram(lattice, tuple(left), tuple(right)))
-    return tuple(out)
+    return tuple(_assemble(lattice, combo)
+                 for combo in itertools.product(*_orientation_options(lattice)))
 
 
 def diagram_count(lattice: FiniteLattice) -> int:
     """|diagrams_of(lattice)|, without building the diagrams: the product of
-    the per-component orientation counts.  Equals the class size of any of
-    the lattice's permutations."""
+    the per-component orientation counts, read off one extraction.  Equals
+    the class size of any of the lattice's permutations."""
     return math.prod(len(choices) for choices in _orientation_options(lattice))
 
 

@@ -22,6 +22,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+# The largest lattice size lattice_from_json accepts.  Construction costs
+# O(size^2) bits of masks and tables, so the size is checked before anything
+# is allocated: a 69-byte file claiming 20,000 elements and no covers used to
+# reach 125 MB of peak RSS before it was refused.  The cap admits every build
+# output: the largest at the permutation size cap 96 is the reversal's,
+# 96 * 97 / 2 + 1 = 4,657 elements, and extract on it takes 25 s and 693 MB
+# of peak RSS on a 2-vCPU VM.
+JSON_SIZE_CAP = 5000
+
 
 class Cyclic(ValueError):
     """The cover relation has a directed cycle."""
@@ -310,43 +319,52 @@ def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
     return _cached(lattice, "mi", compute)
 
 
-def is_slim(lattice: FiniteLattice) -> bool:
-    """True iff the join-irreducibles contain no three-element antichain
+def _two_chains(lattice: FiniteLattice, elems: Sequence[int]) -> bool:
+    """True iff the elements contain no three-element antichain
     (equivalently, they are a union of two chains).
 
     The incomparability graph of a poset is perfect, so it has no triangle
-    iff it is bipartite; one 2-colouring of the join-irreducibles decides
-    it.  Cost: O(k^2) bitmask operations for k join-irreducibles.
+    iff it is bipartite; one 2-colouring of the elements decides it.  Cost:
+    O(k^2) bitmask operations for k elements.
     """
-    def compute():
-        ji = join_irreducibles(lattice)
-        members = 0
-        for x in ji:
-            members |= 1 << x
-        colour: dict[int, int] = {}
-        for start in ji:
-            if start in colour:
-                continue
-            colour[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                rest = members & ~(lattice.up[x] | lattice.down[x])
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    y = low.bit_length() - 1
-                    if y not in colour:
-                        colour[y] = 1 - colour[x]
-                        stack.append(y)
-                    elif colour[y] == colour[x]:
-                        return False
-        return True
-    return _cached(lattice, "slim", compute)
+    members = 0
+    for x in elems:
+        members |= 1 << x
+    colour: dict[int, int] = {}
+    for start in elems:
+        if start in colour:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            rest = members & ~(lattice.up[x] | lattice.down[x])
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    stack.append(y)
+                elif colour[y] == colour[x]:
+                    return False
+    return True
+
+
+def is_slim(lattice: FiniteLattice) -> bool:
+    """True iff the join-irreducibles contain no three-element antichain
+    (equivalently, they are a union of two chains), by one 2-colouring of
+    their incomparability graph."""
+    return _cached(lattice, "slim",
+                   lambda: _two_chains(lattice, join_irreducibles(lattice)))
 
 
 def is_dually_slim(lattice: FiniteLattice) -> bool:
-    return is_slim(dual(lattice))
+    """True iff the dual is slim: the meet-irreducibles contain no
+    three-element antichain.  Decided on the lattice itself, by one
+    2-colouring of their incomparability graph."""
+    return _cached(lattice, "dually_slim",
+                   lambda: _two_chains(lattice, meet_irreducibles(lattice)))
 
 
 def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
@@ -406,25 +424,6 @@ def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
     covers = [(index[a], index[b]) for a, b in lattice.covers
               if a in index and b in index]
     return FiniteLattice(len(elems), covers), elems
-
-
-def maximal_chains(lattice: FiniteLattice, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All cover-by-cover chains from lo to hi, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(x: int, acc: list[int]) -> None:
-        if x == hi:
-            out.append(tuple(acc))
-            return
-        for y in lattice.covers_up[x]:
-            if lattice.leq(y, hi):
-                acc.append(y)
-                walk(y, acc)
-                acc.pop()
-
-    if lattice.leq(lo, hi):
-        walk(lo, [lo])
-    return out
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -589,13 +588,23 @@ def lattice_to_json(lattice: FiniteLattice) -> dict:
 
 
 def lattice_from_json(obj: dict) -> FiniteLattice:
+    """The lattice of a parsed JSON object {"size": ..., "covers": ...}.
+
+    Raises ValueError on a malformed object and TooLarge, before anything of
+    that size is allocated, on a size above JSON_SIZE_CAP.
+    """
     try:
         size = obj["size"]
-        covers = [(int(a), int(b)) for a, b in obj["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed lattice object: {exc}") from exc
     if isinstance(size, bool) or not isinstance(size, int):
         raise ValueError(f"malformed lattice object: size {size!r} is not an integer")
+    if size > JSON_SIZE_CAP:
+        raise TooLarge(f"lattice size {size} exceeds the cap {JSON_SIZE_CAP}")
+    try:
+        covers = [(int(a), int(b)) for a, b in obj["covers"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed lattice object: {exc}") from exc
     return FiniteLattice(size, covers)
 
 
@@ -611,7 +620,7 @@ def diagram_from_json(obj: dict) -> BorderedDiagram:
     try:
         left = tuple(int(x) for x in obj["left_chain"])
         right = tuple(int(x) for x in obj["right_chain"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed diagram object: {exc}") from exc
     return BorderedDiagram(lattice, left, right)
 

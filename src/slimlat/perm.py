@@ -271,11 +271,20 @@ def class_size(sigma: Permutation) -> int:
     >>> class_size(Permutation((2, 1)))
     1
     """
-    doubled = 0
-    for lo, hi in segments(sigma).bounds():
-        if _restriction(sigma.images, lo, hi) != _restriction_inverse(sigma.images, lo, hi):
-            doubled += 1
+    doubled = sum(not is_involution_on(sigma, lo, hi) for lo, hi in segments(sigma).bounds())
     return 1 << doubled
+
+
+def is_involution_on(sigma: Permutation, lo: int, hi: int) -> bool:
+    """True iff sigma, restricted to the closed interval lo..hi (1-based),
+    equals its own inverse there.  O(hi - lo).
+
+    >>> is_involution_on(Permutation((2, 1, 4, 5, 3)), 1, 2)
+    True
+    >>> is_involution_on(Permutation((2, 1, 4, 5, 3)), 3, 5)
+    False
+    """
+    return _restriction(sigma.images, lo, hi) == _restriction_inverse(sigma.images, lo, hi)
 
 
 def canonical_rep(sigma: Permutation) -> Permutation:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 
 from slimlat.grid import Grid
-from slimlat.lattice import (automorphisms, interval_sublattice, join_irreducibles,
-                             maximal_chains, narrows)
+from slimlat.lattice import (automorphisms, dual, interval_sublattice, is_slim,
+                             join_irreducibles, narrows)
 
 
 def closed(images, lo, hi):
@@ -238,6 +238,32 @@ def covering_condition_scan(lattice):
             if x != y and not lattice.is_cover(x, y):
                 return False
     return True
+
+
+def maximal_chains(lattice, lo, hi):
+    """All cover-by-cover chains from lo to hi, in lexicographic order, by
+    depth-first search; exponential in the interval's length."""
+    out = []
+
+    def walk(x, acc):
+        if x == hi:
+            out.append(tuple(acc))
+            return
+        for y in lattice.covers_up[x]:
+            if lattice.leq(y, hi):
+                acc.append(y)
+                walk(y, acc)
+                acc.pop()
+
+    if lattice.leq(lo, hi):
+        walk(lo, [lo])
+    return out
+
+
+def is_slim_dual(lattice):
+    """Dual slimness by building the dual lattice and asking whether it is
+    slim."""
+    return is_slim(dual(lattice))
 
 
 def chain_pair_by_search(lattice, lo, hi):

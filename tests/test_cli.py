@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimlat import cli, grid, lattice, perm
+from slimlat import cli, extract, grid, lattice, perm
 from slimlat.cli import main, parse_permutation
 from slimlat.perm import Permutation
 
@@ -273,6 +274,37 @@ def test_malformed_diagram_exits_2(capsys, tmp_path, command, obj):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["extract", "export-dot"])
+def test_deep_nesting_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, command, "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nests too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "export-dot"])
+def test_size_past_cap_exits_2_at_once(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    obj = {"size": lattice.JSON_SIZE_CAP + 1, "covers": [], "left_chain": [0],
+           "right_chain": [0]}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--diagram", str(path))
+    assert time.perf_counter() - started < 0.1
+    assert code == 2 and out == ""
+    assert "TooLarge" in err
+
+
+def test_size_cap_admits_every_build_output():
+    # the reversal's lattice, n(n+1)/2 + 1 elements, is the largest of its size
+    for n in range(6):
+        sizes = {images: grid.phi0(Permutation(images)).lattice.size
+                 for images in itertools.permutations(range(1, n + 1))}
+        assert max(sizes.values()) == sizes[tuple(range(n, 0, -1))] == n * (n + 1) // 2 + 1
+    assert cli.SIZE_CAP * (cli.SIZE_CAP + 1) // 2 + 1 <= lattice.JSON_SIZE_CAP
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "3")
@@ -309,6 +341,19 @@ class TestVerify:
         assert report["passed"] is False
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "formula_oracle" in failed
+
+    @pytest.mark.parametrize("module, name, wrong", [
+        # the production involution rule, inverted
+        (extract, "is_involution_on", lambda rule: lambda *args: not rule(*args)),
+        # the search side, finding no swapping automorphism anywhere
+        (cli, "_reflection_similar", lambda rule: lambda *args: False),
+    ])
+    def test_diagram_count_catches_a_wrong_side(self, capsys, monkeypatch, module, name, wrong):
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        code, out, _ = run(capsys, "verify", "--n", "4")
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["diagram_count"]
 
     def test_deterministic_modulo_wall_time(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "2", "--seed", "5")
@@ -410,3 +455,61 @@ def test_fuzz_group_realize_exit_codes(text, primes):
     if primes is not None:
         argv.append(f"--primes={primes}")
     assert _exit_code(argv) in (0, 1, 2)
+
+
+# A valid phi0 diagram as JSON, then mutations of its covers, chains, size
+# and value types; DEEP marks a value replaced by deeply nested brackets.
+DEEP = "<deep>"
+_wrong_values = st.sampled_from([None, "x", "", 1.5, float("inf"), float("nan"), True,
+                                 [], {}, [[0, 1, 2]], [None], ["0", "1"], DEEP])
+
+
+def _mutated(draw, value, size):
+    if not isinstance(value, list) or not value or draw(st.integers(0, 4)) == 0:
+        return draw(_wrong_values)
+    value = list(value)
+    at = draw(st.integers(0, len(value) - 1))
+    element = st.one_of(st.integers(-1, size + 1), _wrong_values,
+                        st.lists(st.integers(-1, size + 1), min_size=2, max_size=2))
+    how = draw(st.sampled_from(["drop", "insert", "replace", "reverse", "swap"]))
+    if how == "drop":
+        del value[at]
+    elif how == "insert":
+        value.insert(at, draw(element))
+    elif how == "replace":
+        value[at] = draw(element)
+    elif how == "reverse":
+        value.reverse()
+    elif isinstance(value[at], list):
+        value[at] = value[at][::-1]
+    return value
+
+
+@st.composite
+def _diagram_texts(draw):
+    images = draw(st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.permutations(tuple(range(1, n + 1)))))
+    obj = lattice.diagram_to_json(grid.phi0(Permutation(tuple(images))))
+    size = obj["size"]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["size", "covers", "left_chain", "right_chain"]))
+        how = draw(st.sampled_from(["mutate", "delete", "size"]))
+        if how == "delete":
+            obj.pop(key, None)
+        elif how == "size" or key == "size":
+            obj[key] = draw(st.sampled_from([-1, 0, 1, size - 1, size + 1,
+                                             lattice.JSON_SIZE_CAP + 1, 10 ** 6, 2 ** 63]))
+        else:
+            obj[key] = _mutated(draw, obj.get(key), size)
+    if draw(st.integers(0, 9)) == 0:
+        obj = draw(st.sampled_from([[obj], "x", 3, None, DEEP]))
+    depth = draw(st.sampled_from([10, 5_000, 100_000]))
+    return json.dumps(obj).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_diagram_texts(), command=st.sampled_from(["extract", "export-dot"]))
+def test_fuzz_diagram_exit_codes(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz-diagram.json"
+    path.write_text(text, encoding="utf-8")
+    assert _exit_code([command, f"--diagram={path}"]) in (0, 1, 2)

@@ -36,6 +36,19 @@ def intersection_closed_family(rng, k):
     return FiniteLattice(len(sets), covers)
 
 
+def predicate_lattices():
+    """M3, every phi0 lattice with n <= 5, their duals, and 300 random
+    intersection-closed families."""
+    lattices = [M3, lattice.dual(M3)]
+    for n in range(0, 6):
+        for images in itertools.permutations(range(1, n + 1)):
+            built = grid.phi0(Permutation(images)).lattice
+            lattices += [built, lattice.dual(built)]
+    rng = random.Random(6)
+    lattices += [intersection_closed_family(rng, rng.randrange(1, 6)) for _ in range(300)]
+    return lattices
+
+
 class TestFromCovers:
     def test_two_chain(self):
         two = lattice.from_covers(2, [(0, 1)])
@@ -148,15 +161,8 @@ class TestPredicates:
         assert not lattice.is_slim(M3)  # three pairwise incomparable atoms
 
     def test_slim_matches_three_antichain_scan(self):
-        lattices = [M3, lattice.dual(M3)]
-        for n in range(0, 6):
-            for images in itertools.permutations(range(1, n + 1)):
-                built = grid.phi0(Permutation(images)).lattice
-                lattices += [built, lattice.dual(built)]
-        rng = random.Random(6)
-        lattices += [intersection_closed_family(rng, rng.randrange(1, 6)) for _ in range(300)]
         outcomes = []
-        for lat in lattices:
+        for lat in predicate_lattices():
             got = lattice.is_slim(lat)
             assert got == (not oracles.has_three_antichain(lat, lattice.join_irreducibles(lat)))
             outcomes.append(got)
@@ -165,6 +171,14 @@ class TestPredicates:
     def test_dually_slim(self):
         assert lattice.is_dually_slim(B2)
         assert not lattice.is_dually_slim(M3)
+
+    def test_dually_slim_matches_slim_dual(self):
+        outcomes = []
+        for lat in predicate_lattices():
+            got = lattice.is_dually_slim(lat)
+            assert got == oracles.is_slim_dual(lat)
+            outcomes.append(got)
+        assert True in outcomes and False in outcomes
 
     def test_narrows_chain(self):
         assert lattice.narrows(CHAIN4) == (0, 1, 2, 3)
@@ -272,11 +286,11 @@ class TestIntervalAndChains:
         assert sub.length == 2
 
     def test_maximal_chains(self):
-        chains = lattice.maximal_chains(B2, 0, 3)
+        chains = oracles.maximal_chains(B2, 0, 3)
         assert chains == [(0, 1, 3), (0, 2, 3)]
 
     def test_maximal_chains_of_n5(self):
-        assert lattice.maximal_chains(N5, 0, 4) == [(0, 1, 2, 4), (0, 3, 4)]
+        assert oracles.maximal_chains(N5, 0, 4) == [(0, 1, 2, 4), (0, 3, 4)]
 
 
 class TestBorderedDiagram:
