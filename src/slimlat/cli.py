@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -24,8 +25,8 @@ DIAGRAMS_CAP = 5
 GROUPS_CAP = 4
 RANDOM_SIZE_CAP = 32
 # the largest permutation size build, render-grid and group-realize accept;
-# on a 2-vCPU VM, build at n = 96 takes 3.8 s for a random permutation (2,483
-# elements) and 26 s for the reversal (4,657 elements)
+# on a 2-vCPU VM, build at n = 96 takes 0.25 s for a random permutation (2,383
+# elements) and 0.36 s for the reversal (4,657 elements, the most at n = 96)
 SIZE_CAP = 96
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -93,7 +94,7 @@ def cmd_build(args) -> int:
         return 0
     obj = lattice.diagram_to_json(diagram)
     obj["perm"] = list(pi.images)
-    layout = grid.heuristic_layout(pi)
+    layout = grid.heuristic_layout(pi, diagram.lattice)
     obj["layout"] = [list(layout[x]) for x in range(diagram.lattice.size)]
     _emit(obj)
     _note(f"built a lattice with {diagram.lattice.size} elements, length {diagram.n}")
@@ -221,6 +222,21 @@ def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
     return failures
 
 
+def _pooled_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
+    """_check_bundle(task) in a pool worker.  The pool pickles this
+    function by name, and the worker looks _check_bundle up only when it
+    runs, so a replacement of _check_bundle need not be picklable."""
+    return _check_bundle(task)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     n_max = args.n
@@ -230,11 +246,13 @@ def cmd_verify(args) -> int:
 
     tasks = [(k, images) for k in range(1, min(n_max, 7) + 1)
              for images in itertools.permutations(range(1, k + 1))]
-    if args.jobs > 1:
+    workers = _usable_cpus()
+    _note(f"checking {len(tasks)} permutation bundles with {workers} worker(s)")
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunk = max(1, len(tasks) // (args.jobs * 8))
-            failure_lists = list(pool.map(_check_bundle, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
+            failure_lists = list(pool.map(_pooled_bundle, tasks, chunksize=chunk))
     else:
         failure_lists = [_check_bundle(task) for task in tasks]
     for name in BUNDLE_CHECKS:
@@ -256,7 +274,7 @@ def cmd_verify(args) -> int:
     passed = all(check["passed"] for check in checks)
     report = {
         "command": "verify",
-        "inputs": {"n": n_max, "seed": args.seed, "jobs": args.jobs},
+        "inputs": {"n": n_max, "seed": args.seed},
         "checks": checks,
         "passed": passed,
         "wall_time_s": round(time.perf_counter() - started, 3),
@@ -390,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("verify", help="run the invariant suite up to size n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("group-realize",

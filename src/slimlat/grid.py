@@ -157,13 +157,12 @@ class GridCongruence:
         return pairs
 
     def is_join_compatible(self) -> bool:
-        g = self.grid
-        for block in self.blocks():
-            first = block[0]
-            for other in block[1:]:
-                for z in g.elements():
-                    if not self.collapses(g.join(first, z), g.join(other, z)):
-                        return False
+        """True iff the partition is a join-congruence, by the O(n^2) test
+        that quotient makes."""
+        try:
+            _edge_targets(self.n, self.labels)
+        except ValueError:
+            return False
         return True
 
     @classmethod
@@ -445,33 +444,27 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
 
 # -- the quotient construction ---------------------------------------------------
 
-def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
-    """The quotient lattice of a join-congruence and the top of each block.
+def _edge_targets(n: int, labels: Sequence[int]
+                  ) -> tuple[list[int], list[int], list[int]]:
+    """The top coordinates of each block (as _top_coordinates), and for each
+    block the bitmask of the blocks that an uncollapsed grid edge leads to
+    from it.
 
-    Element ids are the canonical block labels, and block X is below block Y
-    iff top(X) <= top(Y).  A grid chain from top(X) up to top(Y) maps onto a
-    chain of images of its prime intervals, so the quotient order is the
-    reflexive-transitive closure of the images (label(a), label(b)) of the
-    uncollapsed grid edges, and its covers are the transitive reduction of
-    those images.  The argument only uses that the quotient map is
-    order-preserving, so it holds for every join-congruence, whether or not
-    it preserves covers.  Cost: O(n^2) edge images plus one union of
-    block bitmasks per image.
-
-    Any other partition raises ValueError.  A partition is a join-congruence
+    Raises ValueError unless the partition is a join-congruence.  It is one
     iff each block contains its top and no uncollapsed edge leads to a block
     with a top not above its own: then x -> top of its block is a closure
     operator, and the fibres of a closure operator form a join-congruence.
+    Conversely a join-congruence's blocks are join-closed, and for a <= b in
+    blocks A and B the join top(A) v b lies in B, so top(A) <= top(B).
+    Cost: O(n^2).
     """
-    n, labels = kappa.n, kappa.labels
     side = n + 1
     top_i, top_j = _top_coordinates(n, labels)
-    nblocks = len(top_i)
     for lab, (i, j) in enumerate(zip(top_i, top_j)):
         if labels[i * side + j] != lab:
             raise ValueError("partition is not join-closed; no quotient lattice")
 
-    targets = [0] * nblocks  # bitmask of the blocks an uncollapsed edge leads to
+    targets = [0] * len(top_i)
     # the images of the c-direction edges (e, e + side) and, row by row, of
     # the d-direction edges (e, e + 1); most edges share their image
     images = set(zip(labels, labels[side:]))
@@ -484,13 +477,35 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
         if top_i[lab] > top_i[other] or top_j[lab] > top_j[other]:
             raise ValueError("partition is not join-compatible; no quotient lattice")
         targets[lab] |= 1 << other
+    return top_i, top_j, targets
 
+
+def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
+    """The quotient lattice of a join-congruence and the top of each block.
+
+    Element ids are the canonical block labels, and block X is below block Y
+    iff top(X) <= top(Y).  A grid chain from top(X) up to top(Y) maps onto a
+    chain of images of its prime intervals, so the quotient order is the
+    reflexive-transitive closure of the images (label(a), label(b)) of the
+    uncollapsed grid edges, and its covers are the transitive reduction of
+    those images.  The argument only uses that the quotient map is
+    order-preserving, so it holds for every join-congruence, whether or not
+    it preserves covers.  The block tops are the closed elements of a
+    closure operator, so the quotient is a lattice by construction and is
+    built without FiniteLattice's validation.  Cost: O(n^2) edge images plus
+    one union of block bitmasks per image.
+
+    Any other partition raises ValueError (see _edge_targets).
+    """
+    top_i, top_j, targets = _edge_targets(kappa.n, kappa.labels)
+    nblocks = len(top_i)
     # a strictly larger block has a top of strictly larger rank i + j, so
     # taking blocks by decreasing rank finds every strict up-set it needs
     rank = list(map(int.__add__, top_i, top_j))
+    order = sorted(range(nblocks), key=rank.__getitem__)
     above = [0] * nblocks
-    covers = []
-    for x in sorted(range(nblocks), key=rank.__getitem__, reverse=True):
+    covers_up: list[list[int]] = [[] for _ in range(nblocks)]
+    for x in reversed(order):
         reach = 0
         rest = targets[x]
         while rest:
@@ -501,19 +516,10 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
         rest = targets[x] & ~reach
         while rest:
             bit = rest & -rest
-            covers.append((x, bit.bit_length() - 1))
+            covers_up[x].append(bit.bit_length() - 1)
             rest ^= bit
-    return FiniteLattice(nblocks, covers), tuple(zip(top_i, top_j))
-
-
-@lru_cache(maxsize=1024)
-def _phi0(n: int, images: tuple[int, ...]) -> BorderedDiagram:
-    kappa = GridCongruence(n, _formula_labels(n, images))
-    lattice, _ = quotient(kappa)
-    side = n + 1
-    left = tuple(kappa.labels[i * side] for i in range(side))
-    right = tuple(kappa.labels[j] for j in range(side))
-    return BorderedDiagram(lattice, left, right)
+    lattice = FiniteLattice._from_closed_blocks(covers_up, above, order)
+    return lattice, tuple(zip(top_i, top_j))
 
 
 def phi0(pi: Permutation) -> BorderedDiagram:
@@ -524,13 +530,23 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     bijection onto bordered diagrams of such lattices, inverted by
     :func:`slimlat.extract.extract_permutation`.
     """
-    return _phi0(pi.n, pi.images)
+    n = pi.n
+    labels = _formula_labels(n, pi.images)
+    lattice, _ = quotient(GridCongruence(n, labels))
+    side = n + 1
+    return BorderedDiagram(lattice, labels[::side], labels[:side])
 
 
-def heuristic_layout(pi: Permutation) -> dict[int, tuple[int, int]]:
+def heuristic_layout(pi: Permutation, lattice: FiniteLattice | None = None
+                     ) -> dict[int, tuple[int, int]]:
     """Drawing hints for phi0(pi): y is the height, x the signed offset j - i
-    of the block top.  Purely cosmetic; nothing downstream depends on it."""
-    lattice = phi0(pi).lattice
+    of the block top.  Purely cosmetic; nothing downstream depends on it.
+
+    A caller that holds phi0(pi).lattice already passes it as lattice, which
+    saves building it again.
+    """
+    if lattice is None:
+        lattice = phi0(pi).lattice
     # block labels are the element ids of the quotient lattice
     tops = GridCongruence(pi.n, _formula_labels(pi.n, pi.images)).block_tops()
     return {lab: (tops[lab][1] - tops[lab][0], lattice.height[lab])

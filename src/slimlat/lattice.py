@@ -7,7 +7,8 @@ Conventions:
     - The reachability order must have a least and a greatest element and
       binary joins and meets everywhere, otherwise construction fails.
     - ``up[x]`` / ``down[x]`` are bitmask encodings of the up-set and
-      down-set of ``x``; all order queries run on precomputed tables.
+      down-set of ``x``; order queries are bit tests on them, and join and
+      meet are computed on demand from the cones.
 
 The module also provides the predicates used throughout the package
 (semimodularity, slimness, narrows, covering squares), a brute-force
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 # The largest lattice size lattice_from_json accepts.  Construction costs
-# O(size^2) bits of masks and tables, so the size is checked before anything
-# is allocated: a 69-byte file claiming 20,000 elements and no covers used to
-# reach 125 MB of peak RSS before it was refused.  The cap admits every build
-# output: the largest at the permutation size cap 96 is the reversal's,
-# 96 * 97 / 2 + 1 = 4,657 elements, and extract on it takes 25 s and 693 MB
-# of peak RSS on a 2-vCPU VM.
+# O(size^2) bits of masks and an O(size^2) check that every pair has a join
+# and a meet, so the size is checked before anything is allocated: a 69-byte
+# file claiming 20,000 elements and no covers used to reach 125 MB of peak RSS
+# before it was refused.  The cap admits every build output: the largest at
+# the permutation size cap 96 is the reversal's, 96 * 97 / 2 + 1 = 4,657
+# elements, and extract on it takes 15 s and 30 MB of peak RSS on a 2-vCPU
+# VM, nearly all of it in that check.
 JSON_SIZE_CAP = 5000
 
 
@@ -59,17 +61,21 @@ class InvalidDiagram(ValueError):
 class FiniteLattice:
     """An immutable finite lattice with eagerly computed order data.
 
-    The up-set and down-set masks cost O(size + |covers|) operations on
-    size-bit masks.  The join and meet tables are filled over incomparable
-    pairs only, with one lowest or highest set bit and one comparison per
-    pair; a comparable pair needs no entry, since its join is the larger
-    element and its meet the smaller one.  Together these validate that the
-    order is a lattice.  The tables take O(size^2) memory.  Every later
-    query is O(1) or a bitmask operation.
+    The up-set and down-set masks, the heights and a linear extension cost
+    O(size + |covers|) operations on size-bit masks, and take O(size^2)
+    bits.  Join and meet are computed on demand: a comparable pair answers
+    from the order, and an incomparable one with one lowest or highest set
+    bit of the intersection of two cones whose bits are numbered by the
+    linear extension.
+
+    The constructor validates its input: the covers must be the transitive
+    reduction of a bounded order, and one such bit search per incomparable
+    pair checks that every pair has a join and a meet.
     """
 
     __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
-                 "height", "bottom", "top", "_joins", "_meets", "_cache")
+                 "height", "bottom", "top", "_order", "_up_ranked", "_down_ranked",
+                 "_cache")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]]):
         if size < 1:
@@ -92,14 +98,49 @@ class FiniteLattice:
         self.covers_up = tuple(map(tuple, ups))
         self.covers_down = tuple(map(tuple, downs))
 
-        self._build_heights(self._topological_order())
-        # a height-sorted linear extension; the tables number elements by it
-        order = sorted(range(size), key=self.height.__getitem__)
-        ranked_up, ranked_down = self._build_cones(order)
+        order = self._topological_order()
+        up = [0] * size
+        for x in reversed(order):
+            mask = 1 << x
+            for y in self.covers_up[x]:
+                mask |= up[y]
+            up[x] = mask
+        self._build_cones(order, up)
         self._check_reduced()
         self._find_bounds()
-        self._build_tables(order, ranked_up, ranked_down)
+        self._check_bounds()
         self._cache: dict = {}
+
+    @classmethod
+    def _from_closed_blocks(cls, covers_up: Sequence[Sequence[int]],
+                            above: Sequence[int], order: Sequence[int]
+                            ) -> "FiniteLattice":
+        """The quotient lattice grid.quotient has computed, without validation.
+
+        covers_up[x] lists the upper covers of block x in ascending order,
+        above[x] is the mask of the blocks strictly above x, and order lists
+        the blocks by the rank i + j of their tops (i, j).  The blocks stand
+        for the closed elements of a closure operator on the grid, which are
+        meet-closed and contain the top, so they form a lattice; quotient
+        takes the covers as the transitive reduction of the order, a
+        strictly larger block has a top of strictly larger rank, and so
+        order is a linear extension that starts at the bottom and ends at
+        the top.  Only grid.quotient may call this.
+        """
+        self = cls.__new__(cls)
+        self.size = size = len(order)
+        downs = [[] for _ in range(size)]
+        for x, ys in enumerate(covers_up):
+            for y in ys:
+                downs[y].append(x)  # ascending, as __init__ lists them
+        self.covers = frozenset((x, y) for x, ys in enumerate(covers_up) for y in ys)
+        self.covers_up = tuple(map(tuple, covers_up))
+        self.covers_down = tuple(map(tuple, downs))
+        self._build_cones(order, [mask | 1 << x for x, mask in enumerate(above)])
+        self.bottom = order[0]
+        self.top = order[-1]
+        self._cache = {}
+        return self
 
     # -- construction internals -------------------------------------------
 
@@ -118,39 +159,34 @@ class FiniteLattice:
             raise Cyclic("cover relation has a cycle")
         return order
 
-    def _build_heights(self, order: list[int]) -> None:
-        h = [0] * self.size
-        for x in order:
-            below = self.covers_down[x]
-            if below:
-                h[x] = max(map(h.__getitem__, below)) + 1
-        self.height = tuple(h)
-
-    def _build_cones(self, order: list[int]) -> tuple[list[int], list[int]]:
-        """Sets up and down, the up-set and down-set masks by element id, and
-        returns them again with every element's bit at its position in the
-        linear extension order."""
+    def _build_cones(self, order: Sequence[int], up: list[int]) -> None:
+        """Sets up (given), down and height, and keeps the linear extension
+        order with the up-set and down-set masks that number every element
+        by its position in it."""
         size = self.size
-        up = [0] * size
         down = [0] * size
+        height = [0] * size
         up_r = [0] * size
         down_r = [0] * size
-        for k in range(size - 1, -1, -1):
-            x = order[k]
-            mask, ranked = 1 << x, 1 << k
-            for y in self.covers_up[x]:
-                mask |= up[y]
-                ranked |= up_r[y]
-            up[x], up_r[x] = mask, ranked
         for k, x in enumerate(order):
-            mask, ranked = 1 << x, 1 << k
+            mask, ranked, h = 1 << x, 1 << k, 0
             for y in self.covers_down[x]:
                 mask |= down[y]
                 ranked |= down_r[y]
-            down[x], down_r[x] = mask, ranked
+                if height[y] >= h:
+                    h = height[y] + 1
+            down[x], down_r[x], height[x] = mask, ranked, h
+        for k in range(size - 1, -1, -1):
+            ranked = 1 << k
+            for y in self.covers_up[order[k]]:
+                ranked |= up_r[y]
+            up_r[order[k]] = ranked
         self.up = tuple(up)
         self.down = tuple(down)
-        return up_r, down_r
+        self.height = tuple(height)
+        self._order = tuple(order)
+        self._up_ranked = tuple(up_r)
+        self._down_ranked = tuple(down_r)
 
     def _check_reduced(self) -> None:
         for a, b in self.covers:
@@ -166,38 +202,25 @@ class FiniteLattice:
         self.bottom = bottoms[0]
         self.top = tops[0]
 
-    def _build_tables(self, order: list[int], up: list[int], down: list[int]) -> None:
-        # A join is below every other common upper bound, so it sits at the
-        # lowest set bit of the ranked up[i] & up[j], and a meet at the
-        # highest set bit of down[i] & down[j]; when the bound is missing,
-        # the element found there has a different cone.  Only incomparable
-        # pairs are stored: for a comparable pair the join is the larger
-        # element and the meet the smaller one, and both exist.
-        size = self.size
-        full = (1 << size) - 1
-        joins = [[0] * size for _ in range(size)]
-        meets = [[0] * size for _ in range(size)]
+    def _check_bounds(self) -> None:
+        # Every pair has a join iff, for every incomparable pair, the first
+        # common upper bound in the linear extension has exactly the common
+        # upper bounds above it; dually for meets.  The pairs are met in
+        # i-major order, j ascending.
+        full = (1 << self.size) - 1
+        order, up, down = self._order, self._up_ranked, self._down_ranked
         for i, (up_i, down_i) in enumerate(zip(up, down)):
-            # the incomparable j > i, ascending: the pairs are met in the
-            # same i-major order as a scan over all j >= i
             rest = (full ^ (self.up[i] | self.down[i])) >> i << i
             while rest:
                 low = rest & -rest
                 rest ^= low
                 j = low.bit_length() - 1
                 common = up_i & up[j]
-                u = order[(common & -common).bit_length() - 1]
-                if up[u] != common:
+                if up[order[(common & -common).bit_length() - 1]] != common:
                     raise NotALattice(f"elements {i} and {j} have no join")
-                joins[i][j] = joins[j][i] = u
                 common = down_i & down[j]
-                u = order[common.bit_length() - 1]
-                if down[u] != common:
+                if down[order[common.bit_length() - 1]] != common:
                     raise NotALattice(f"elements {i} and {j} have no meet")
-                meets[i][j] = meets[j][i] = u
-        # tuple rows: the garbage collector stops tracking tuples of ints
-        self._joins = tuple(map(tuple, joins))
-        self._meets = tuple(map(tuple, meets))
 
     # -- queries ------------------------------------------------------------
 
@@ -215,14 +238,18 @@ class FiniteLattice:
             return y
         if self.down[x] >> y & 1:
             return x
-        return self._joins[x][y]
+        # the join lies below every other common upper bound, so it comes
+        # first among them in the linear extension
+        common = self._up_ranked[x] & self._up_ranked[y]
+        return self._order[(common & -common).bit_length() - 1]
 
     def meet(self, x: int, y: int) -> int:
         if self.down[y] >> x & 1:
             return x
         if self.down[x] >> y & 1:
             return y
-        return self._meets[x][y]
+        common = self._down_ranked[x] & self._down_ranked[y]
+        return self._order[common.bit_length() - 1]
 
     def is_cover(self, x: int, y: int) -> bool:
         return (x, y) in self.covers
@@ -291,15 +318,12 @@ def is_semimodular(lattice: FiniteLattice) -> bool:
     """Upper semimodularity (a covered by b implies a∨c is b∨c or covered by
     it), decided by Birkhoff's condition: any two distinct upper covers of
     an element are both covered by their join.  In a lattice of finite
-    length the two are equivalent.  Cost: O(sum of squared up-degrees)
-    table lookups."""
+    length the two are equivalent.  The condition holds exactly when every
+    such pair spans one of the covering squares, so this counts them.
+    Cost: that of covering_squares."""
     def compute():
-        for ups in lattice.covers_up:
-            for a, b in itertools.combinations(ups, 2):
-                t = lattice.join(a, b)
-                if not (lattice.is_cover(a, t) and lattice.is_cover(b, t)):
-                    return False
-        return True
+        pairs = sum(len(ups) * (len(ups) - 1) // 2 for ups in lattice.covers_up)
+        return len(covering_squares(lattice)) == pairs
     return _cached(lattice, "semimodular", compute)
 
 
@@ -396,7 +420,9 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
     """All cover-preserving 4-element sublattices of length two.
 
     Returned as tuples (w, a, b, t) with w covered by a and b, both covered
-    by t, and a < b; t is forced to be the join of a and b, and w their meet.
+    by t, and a < b; t is forced to be the join of a and b, and w their meet,
+    so each pair of upper covers spans at most one square.  Cost: O(sum of
+    squared up-degrees) joins.
     """
     def compute():
         squares = set()
@@ -587,24 +613,40 @@ def lattice_to_json(lattice: FiniteLattice) -> dict:
     return {"size": lattice.size, "covers": sorted(map(list, lattice.covers))}
 
 
+def _integers(value, what: str) -> tuple[int, ...]:
+    """value, a JSON array of integers, as a tuple; anything else (a string,
+    a float or a bool among the entries) raises ValueError and is never
+    converted."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value):
+        raise ValueError(f"malformed {what}: {value!r:.80} is not a list of integers")
+    return tuple(value)
+
+
 def lattice_from_json(obj: dict) -> FiniteLattice:
     """The lattice of a parsed JSON object {"size": ..., "covers": ...}.
 
+    The size must be an integer and the covers a list of pairs of integers.
     Raises ValueError on a malformed object and TooLarge, before anything of
     that size is allocated, on a size above JSON_SIZE_CAP.
     """
     try:
         size = obj["size"]
+        pairs = obj["covers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed lattice object: {exc}") from exc
     if isinstance(size, bool) or not isinstance(size, int):
         raise ValueError(f"malformed lattice object: size {size!r} is not an integer")
     if size > JSON_SIZE_CAP:
         raise TooLarge(f"lattice size {size} exceeds the cap {JSON_SIZE_CAP}")
-    try:
-        covers = [(int(a), int(b)) for a, b in obj["covers"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed lattice object: {exc}") from exc
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"malformed lattice object: covers {pairs!r:.80} is not a list")
+    covers = []
+    for pair in pairs:
+        cover = _integers(pair, "cover")
+        if len(cover) != 2:
+            raise ValueError(f"malformed cover: {pair!r:.80} is not a pair")
+        covers.append(cover)
     return FiniteLattice(size, covers)
 
 
@@ -616,13 +658,15 @@ def diagram_to_json(diagram: BorderedDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BorderedDiagram:
+    """The bordered diagram of a parsed JSON object: a lattice object (see
+    lattice_from_json) with "left_chain" and "right_chain" lists of integers."""
     lattice = lattice_from_json(obj)
     try:
-        left = tuple(int(x) for x in obj["left_chain"])
-        right = tuple(int(x) for x in obj["right_chain"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        left, right = obj["left_chain"], obj["right_chain"]
+    except KeyError as exc:
         raise ValueError(f"malformed diagram object: {exc}") from exc
-    return BorderedDiagram(lattice, left, right)
+    return BorderedDiagram(lattice, _integers(left, "left chain"),
+                           _integers(right, "right chain"))
 
 
 def to_dot(lattice: FiniteLattice, labels: Optional[dict[int, str]] = None,

@@ -62,6 +62,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        # any iterable of images is accepted, and stored as a tuple so that
+        # permutations hash
+        if not isinstance(self.images, tuple):
+            object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
         seen = [False] * n
         for v in self.images:

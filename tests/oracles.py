@@ -144,6 +144,20 @@ def congruence_blocks(kappa):
     return frozenset(frozenset(block) for block in kappa.blocks())
 
 
+def join_compatible_by_scan(kappa):
+    """True iff a ~ b implies a v z ~ b v z, straight from the definition:
+    every member of each block against the block's first member, joined
+    with every grid element."""
+    g = kappa.grid
+    for block in kappa.blocks():
+        first = block[0]
+        for other in block[1:]:
+            for z in g.elements():
+                if not kappa.collapses(g.join(first, z), g.join(other, z)):
+                    return False
+    return True
+
+
 def cell_generators(cell):
     """The two upper edges of a 4-cell, as pairs of grid coordinates."""
     i, j = cell

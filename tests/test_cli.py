@@ -105,6 +105,20 @@ class TestBuild:
         _, out2, _ = run(capsys, "build", "--perm", "3,1,4,2")
         assert out1 == out2
 
+    def test_runs_the_quotient_once(self, capsys, monkeypatch):
+        calls = []
+        quotient = grid.quotient
+        monkeypatch.setattr(grid, "quotient", lambda kappa: calls.append(kappa) or quotient(kappa))
+        code, out, _ = run(capsys, "build", "--perm", "3,1,4,2")
+        assert code == 0 and len(json.loads(out)["layout"]) == 8
+        assert len(calls) == 1
+
+    def test_reversal_at_the_size_cap_is_quick(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "build", "--perm", ",".join(map(str, range(cli.SIZE_CAP, 0, -1))))
+        assert time.perf_counter() - started < 2.0
+        assert code == 0 and json.loads(out)["size"] == cli.SIZE_CAP * (cli.SIZE_CAP + 1) // 2 + 1
+
 
 class TestExtract:
     def write_diagram(self, tmp_path, images):
@@ -265,6 +279,9 @@ class TestExportDot:
     {"size": 3.0, "covers": [[0, 1], [1, 2]], "left_chain": [0, 1, 2], "right_chain": [0, 1, 2]},
     {"size": True, "covers": [], "left_chain": [0], "right_chain": [0]},
     {"size": 2, "covers": [[0, 5]], "left_chain": [0, 1], "right_chain": [0, 1]},
+    # nothing is converted: int() would truncate 0.9 and read "01" as a chain
+    {"size": 2, "covers": [[0.9, "1"]], "left_chain": "01", "right_chain": [0, 1.5]},
+    {"size": 2, "covers": [[0, 1, 1]], "left_chain": [0, 1], "right_chain": [0, 1]},
 ])
 def test_malformed_diagram_exits_2(capsys, tmp_path, command, obj):
     path = tmp_path / "bad.json"
@@ -272,6 +289,20 @@ def test_malformed_diagram_exits_2(capsys, tmp_path, command, obj):
     code, out, err = run(capsys, command, "--diagram", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("left, right", [
+    ("01", [0, 1]), ([0, 1], [0, 1.0]), ([0, True], [0, 1]), ({"0": 0}, [0, 1]),
+])
+def test_malformed_chain_exits_2(capsys, tmp_path, left, right):
+    # the lattice is valid, so only extract, which reads the chains, refuses it
+    path = tmp_path / "bad.json"
+    obj = {"size": 2, "covers": [[0, 1]], "left_chain": left, "right_chain": right}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run(capsys, "export-dot", "--diagram", str(path))[0] == 0
+    code, out, err = run(capsys, "extract", "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "is not a list of integers" in err
 
 
 @pytest.mark.parametrize("command", ["extract", "export-dot"])
@@ -362,13 +393,30 @@ class TestVerify:
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
 
-    def test_jobs_agree(self, capsys):
-        _, out1, _ = run(capsys, "verify", "--n", "3")
-        _, out2, _ = run(capsys, "verify", "--n", "3", "--jobs", "2")
-        r1, r2 = json.loads(out1), json.loads(out2)
-        r1.pop("wall_time_s"), r2.pop("wall_time_s")
-        r1["inputs"].pop("jobs"), r2["inputs"].pop("jobs")
-        assert r1 == r2
+    def test_jobs_agree(self, capsys, monkeypatch):
+        # one worker runs the bundles in-process; the pool gives the same report
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda workers=workers: workers)
+            _, out, err = run(capsys, "verify", "--n", "5")
+            assert f"with {workers} worker(s)" in err
+            report = json.loads(out)
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["inputs"] == {"n": 5, "seed": 0}
+
+    def test_injected_fault_in_a_pool_worker_fails(self, capsys, monkeypatch):
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        # fails only where it runs outside this process, and only at size 3
+        monkeypatch.setattr(cli, "_check_bundle", lambda task: (
+            ["structural"] if task[0] == 3 and os.getpid() != parent else []))
+        code, out, err = run(capsys, "verify", "--n", "3")
+        assert code == 1 and "with 2 worker(s)" in err
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [(c["name"], c["details"]) for c in failed] == [
+            ("structural", "6 failures, first at (3, (1, 2, 3))")]
 
     @pytest.mark.parametrize("n_max, scale", [(9, 11), (10, 12), (40, 32)])
     def test_random_round_trip_always_draws(self, n_max, scale):

@@ -384,6 +384,53 @@ class TestQuotient:
             join_closed_only += "join-compatible" in str(info.value)
         assert join_closed_only > 0
 
+    def test_join_compatible_matches_scan_oracle(self):
+        # every permutation congruence with n <= 5, and the raw partitions above
+        for n in range(0, 6):
+            for pi in all_perms(n):
+                kappa = grid.beta_from_formula(Grid(n), pi)
+                assert kappa.is_join_compatible() and oracles.join_compatible_by_scan(kappa)
+        rng = random.Random(8)
+        verdicts = set()
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            size = (n + 1) ** 2
+            labels = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+            raw = GridCongruence.from_labels(n, labels, check=False)
+            verdict = raw.is_join_compatible()
+            assert verdict == oracles.join_compatible_by_scan(raw)
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_lattice_matches_validated_construction(self):
+        # the unvalidated constructor quotient uses against from_covers: every
+        # permutation with n <= 6, 1,000 of the 5,040 with n = 7 (all of them
+        # would add about 2 s on a 2-vCPU VM), and 20 random ones with n <= 64
+        names = ("size", "covers", "covers_up", "covers_down", "up", "down", "height",
+                 "bottom", "top")
+        rng = random.Random(64)
+        perms = [pi for n in range(0, 7) for pi in all_perms(n)]
+        perms += rng.sample(list(all_perms(7)), 1000)
+        for _ in range(20):
+            images = list(range(1, rng.randint(8, 64) + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        for pi in perms:
+            lat = grid.phi0(pi).lattice
+            ref = lattice.from_covers(lat.size, lat.covers)
+            assert [getattr(lat, name) for name in names] == [getattr(ref, name) for name in names]
+            # join and meet answer a comparable pair from down, compared
+            # above, so the incomparable pairs are the ones left; past n = 7,
+            # 1,000 random pairs stand for the O(size^2) of them
+            if pi.n <= 7:
+                pairs = itertools.combinations(range(lat.size), 2)
+            else:
+                pairs = (rng.sample(range(lat.size), 2) for _ in range(1000))
+            pairs = [(x, y) for x, y in pairs if not (lat.up[x] | lat.down[x]) >> y & 1]
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+            assert list(map(lat.join, xs, ys)) == list(map(ref.join, xs, ys))
+            assert list(map(lat.meet, xs, ys)) == list(map(ref.meet, xs, ys))
+
     def test_permutation_congruences_match_naive_covers(self):
         for n in range(0, 6):
             for pi in all_perms(n):
@@ -468,8 +515,13 @@ class TestPhi0:
                 expected = {x: (tops[x][1] - tops[x][0], lat.height[x]) for x in range(lat.size)}
                 assert grid.heuristic_layout(pi) == expected
 
+    def test_images_in_a_list(self):
+        # a permutation keeps its images as a tuple, so it hashes
+        pi = Permutation([2, 3, 1])
+        assert pi.images == (2, 3, 1) and hash(pi) == hash(Permutation((2, 3, 1)))
+        assert grid.phi0(pi) == grid.phi0(Permutation((2, 3, 1)))
+
     def test_memo_caches_are_bounded(self):
-        assert grid._phi0.cache_info().maxsize is not None
         assert grid._formula_labels.cache_info().maxsize is not None
 
     def test_production_never_runs_the_closure(self, monkeypatch, capsys):
@@ -477,7 +529,6 @@ class TestPhi0:
             raise AssertionError("closure called")
 
         monkeypatch.setattr(grid, "_closure_labels", refuse)
-        grid._phi0.cache_clear()
         pi = Permutation((3, 1, 4, 2))
         assert grid.phi0(pi).lattice.size == 8
         assert len(grid.heuristic_layout(pi)) == 8
