@@ -15,47 +15,44 @@ The package ties four constructions together:
 permutations yield isomorphic lattices exactly when they are equivalent, so
 class counting, diagram counting, and lattice classification line up; the
 test suite checks all of this exhaustively at small sizes.
+
+Importing the package loads none of these modules.  Each name in
+``__all__`` resolves on first use, when its home module is imported, so a
+command-line run loads only the modules its command needs.
 """
-from slimlat.extract import (diagram_count, diagrams_of, extract_permutation,
-                             pi1_trajectories, pi2_meet_irreducibles,
-                             pi3_source_cells)
-from slimlat.grid import (Grid, GridCell, GridCongruence, beta_formula,
-                          beta_from_formula, beta_from_perm,
-                          congruence_closure, forbidden_cells,
-                          is_cover_preserving, jcong_cell, phi0, regenerate,
-                          source_cells)
-from slimlat.groups import (CyclicCslInstance, csl_build, csl_dual_diagram,
-                            jordan_holder_permutation, projectivity_witness)
-from slimlat.lattice import (BorderedDiagram, FiniteLattice, automorphisms,
-                             covering_squares, dual, from_covers,
-                             is_dually_slim, is_isomorphic, is_semimodular,
-                             is_slim, join_irreducibles, meet_irreducibles,
-                             narrows)
-from slimlat.perm import (Permutation, SegmentPartition, canonical_rep,
-                          class_size, count_classes, enumerate_reps,
-                          is_closed, rho_class, rho_equivalent, segments,
-                          validate)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # perm
-    "Permutation", "SegmentPartition", "validate", "is_closed", "segments",
-    "rho_equivalent", "rho_class", "class_size", "canonical_rep", "count_classes",
-    "enumerate_reps",
-    # lattice
-    "FiniteLattice", "BorderedDiagram", "from_covers", "is_semimodular",
-    "is_slim", "is_dually_slim", "join_irreducibles", "meet_irreducibles",
-    "narrows", "dual", "covering_squares", "is_isomorphic", "automorphisms",
-    # grid
-    "Grid", "GridCell", "GridCongruence", "congruence_closure", "jcong_cell",
-    "beta_from_perm", "beta_from_formula", "beta_formula", "forbidden_cells",
-    "is_cover_preserving", "source_cells", "regenerate", "phi0",
-    # extract
-    "extract_permutation", "pi1_trajectories", "pi2_meet_irreducibles",
-    "pi3_source_cells", "diagrams_of", "diagram_count",
-    # groups
-    "CyclicCslInstance", "csl_build", "csl_dual_diagram",
-    "jordan_holder_permutation", "projectivity_witness",
-]
+# the home module of every exported name
+_HOMES = {name: module for module, names in (
+    ("perm", ("Permutation", "SegmentPartition", "validate", "is_closed", "segments",
+              "rho_equivalent", "rho_class", "class_size", "canonical_rep",
+              "count_classes", "enumerate_reps")),
+    ("lattice", ("FiniteLattice", "BorderedDiagram", "from_covers", "is_semimodular",
+                 "is_slim", "is_dually_slim", "join_irreducibles", "meet_irreducibles",
+                 "narrows", "dual", "covering_squares", "is_isomorphic", "automorphisms")),
+    ("grid", ("Grid", "GridCell", "GridCongruence", "congruence_closure", "jcong_cell",
+              "beta_from_perm", "beta_from_formula", "beta_formula", "forbidden_cells",
+              "is_cover_preserving", "source_cells", "regenerate", "phi0")),
+    ("extract", ("extract_permutation", "pi1_trajectories", "pi2_meet_irreducibles",
+                 "pi3_source_cells", "diagrams_of", "diagram_count")),
+    ("groups", ("CyclicCslInstance", "csl_build", "csl_dual_diagram",
+                "jordan_holder_permutation", "projectivity_witness")),
+) for name in names}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,9 @@
 Conventions: JSON on stdout, human-readable notes on stderr; exit code 0 on
 success, 1 when a verification run fails, 2 on invalid input.  All commands
 are deterministic: identical inputs produce byte-identical stdout.
+
+Only :mod:`slimlat.perm` is imported with this module; each command imports
+the other modules it runs, so that a run loads nothing it does not use.
 """
 from __future__ import annotations
 
@@ -11,12 +14,10 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import sys
-import time
 
-from slimlat import extract, grid, groups, lattice, perm
+from slimlat import perm
 from slimlat.perm import Permutation
 
 # per-check scale caps keeping `verify` desk-speed at large --n
@@ -87,6 +88,7 @@ def _segments_json(pi: Permutation) -> list[list[int]]:
 # -- commands --------------------------------------------------------------------
 
 def cmd_build(args) -> int:
+    from slimlat import grid, lattice
     pi = parse_permutation(args.perm, args.n)
     diagram = grid.phi0(pi)
     if args.format == "dot":
@@ -111,6 +113,7 @@ def _load_json(path: str):
 
 
 def cmd_extract(args) -> int:
+    from slimlat import extract, lattice
     diagram = lattice.diagram_from_json(_load_json(args.diagram))
     pi = extract.extract_permutation(diagram, verify=True)
     _emit({
@@ -134,6 +137,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_group_realize(args) -> int:
+    from slimlat import extract, groups, lattice
     pi = parse_permutation(args.perm, args.n)
     primes = (tuple(int(tok) for tok in re.split(r"[,\s]+", args.primes.strip()) if tok)
               if args.primes else groups.first_primes(pi.n))
@@ -159,6 +163,7 @@ def cmd_group_realize(args) -> int:
 
 
 def cmd_render_grid(args) -> int:
+    from slimlat import grid
     pi = parse_permutation(args.perm, args.n)
     if args.format == "dot":
         print(grid.grid_dot(pi), end="")
@@ -170,6 +175,7 @@ def cmd_render_grid(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from slimlat import lattice
     print(lattice.to_dot(lattice.lattice_from_json(_load_json(args.diagram))), end="")
     return 0
 
@@ -181,45 +187,63 @@ BUNDLE_CHECKS = ("round_trip", "formula_oracle", "source_cells_regenerate",
 
 
 def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
-    """Per-permutation invariant bundle; returns the names of failed checks."""
+    """Per-permutation invariant bundle; returns the names of failed checks.
+
+    A check that raises has failed, and so has every check on a diagram or
+    congruence that could not be built.
+    """
+    from slimlat import extract, grid, lattice
     n, images = task
     pi = Permutation(images)
     g = grid.Grid(n)
-    failures = []
-    diagram = grid.phi0(pi)
-    lat = diagram.lattice
+    diagram = _built(grid.phi0, pi)
+    kappa = _built(grid.beta_from_perm, g, pi, check=False)
 
+    def round_trip() -> bool:
+        return extract.extract_permutation(diagram, verify=True) == pi
+
+    def formula_oracle() -> bool:
+        return kappa == grid.beta_from_formula(g, pi)
+
+    def source_cells_regenerate() -> bool:
+        expected = frozenset(itertools.starmap(grid.GridCell, enumerate(images, start=1)))
+        return grid.source_cells(kappa) == expected and grid.regenerate(kappa) == kappa
+
+    def structural() -> bool:
+        lat = diagram.lattice
+        boundary = diagram.boundary()
+        return (lattice.is_slim(lat)
+                and lattice.is_semimodular(lat)
+                and lat.length == n
+                and len(lattice.meet_irreducibles(lat)) == n
+                and max(map(len, lat.covers_up)) <= 2
+                and all(x in boundary for x in lattice.join_irreducibles(lat)))
+
+    def narrows_segments() -> bool:
+        lat = diagram.lattice
+        heights = {lat.height[x] for x in lattice.narrows(lat)}
+        return heights == {0} | set(perm.segments(pi).maxima())
+
+    checks = ((diagram, round_trip), (kappa, formula_oracle), (kappa, source_cells_regenerate),
+              (diagram, structural), (diagram, narrows_segments))
+    return [name for name, (built, check) in zip(BUNDLE_CHECKS, checks)
+            if built is None or not _passes(check)]
+
+
+def _built(build, *args, **kwargs):
+    """build(*args, **kwargs), or None if it raises."""
     try:
-        ok = extract.extract_permutation(diagram, verify=True) == pi
+        return build(*args, **kwargs)
     except Exception:
-        ok = False
-    if not ok:
-        failures.append("round_trip")
+        return None
 
-    kappa = grid.beta_from_perm(g, pi, check=False)
-    if kappa != grid.beta_from_formula(g, pi):
-        failures.append("formula_oracle")
 
-    expected = frozenset(itertools.starmap(grid.GridCell, enumerate(images, start=1)))
-    if grid.source_cells(kappa) != expected or grid.regenerate(kappa) != kappa:
-        failures.append("source_cells_regenerate")
-
-    boundary = diagram.boundary()
-    structural = (
-        lattice.is_slim(lat)
-        and lattice.is_semimodular(lat)
-        and lat.length == n
-        and len(lattice.meet_irreducibles(lat)) == n
-        and max(map(len, lat.covers_up)) <= 2
-        and all(x in boundary for x in lattice.join_irreducibles(lat))
-    )
-    if not structural:
-        failures.append("structural")
-
-    heights = {lat.height[x] for x in lattice.narrows(lat)}
-    if heights != {0} | set(perm.segments(pi).maxima()):
-        failures.append("narrows_segments")
-    return failures
+def _passes(check) -> bool:
+    """check(), with an exception counted as a failure."""
+    try:
+        return check()
+    except Exception:
+        return False
 
 
 def _pooled_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
@@ -238,6 +262,11 @@ def _usable_cpus() -> int:
 
 
 def cmd_verify(args) -> int:
+    import time
+
+    # the bundle's modules, imported before the pool forks so that the
+    # workers inherit them instead of each importing them again
+    from slimlat import extract, grid, lattice  # noqa: F401
     started = time.perf_counter()
     n_max = args.n
     if n_max < 0:
@@ -265,11 +294,14 @@ def cmd_verify(args) -> int:
                         else f"{len(bad)} failures, first at {bad[0]}"),
         })
 
-    checks.append(_check_pairwise_iso(min(n_max, PAIRWISE_CAP)))
-    checks.append(_check_diagram_counts(min(n_max, DIAGRAMS_CAP)))
-    checks.append(_check_group_realization(min(n_max, GROUPS_CAP)))
-    checks.append(_check_class_counts(min(n_max, perm.ENUMERATION_CAP)))
-    checks.append(_check_random_round_trip(n_max, args.seed))
+    for name, scale, check in (
+            ("pairwise_iso", min(n_max, PAIRWISE_CAP), _check_pairwise_iso),
+            ("diagram_count", min(n_max, DIAGRAMS_CAP), _check_diagram_counts),
+            ("group_realization", min(n_max, GROUPS_CAP), _check_group_realization),
+            ("class_counts", min(n_max, perm.ENUMERATION_CAP), _check_class_counts)):
+        checks.append(_guarded(name, scale, check, scale))
+    checks.append(_guarded("random_round_trip", min(n_max + 2, RANDOM_SIZE_CAP),
+                           _check_random_round_trip, n_max, args.seed))
 
     passed = all(check["passed"] for check in checks)
     report = {
@@ -286,7 +318,17 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+def _guarded(name: str, scale: int, check, *args) -> dict:
+    """The report of check(*args), or a failed report if it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return {"name": name, "scale": scale, "passed": False,
+                "details": f"raised {type(exc).__name__}: {exc}"}
+
+
 def _check_pairwise_iso(scale: int) -> dict:
+    from slimlat import grid, lattice
     bad = total = 0
     for k in range(1, scale + 1):
         perms = list(perm.all_permutations(k))
@@ -300,20 +342,21 @@ def _check_pairwise_iso(scale: int) -> dict:
             "details": f"{total} pairs compared" if bad == 0 else f"{bad} mismatches"}
 
 
-def _reflection_similar(lat: lattice.FiniteLattice, lo: int, hi: int,
-                        u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _reflection_similar(lat, lo: int, hi: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """True iff some automorphism of [lo, hi] swaps the chains u and v, by a
     pinned isomorphism search on the interval as a lattice of its own."""
+    from slimlat import extract, lattice
     sub, elems = lattice.interval_sublattice(lat, lo, hi)
     index = {x: k for k, x in enumerate(elems)}
     d = lattice.BorderedDiagram(sub, tuple(index[x] for x in u), tuple(index[x] for x in v))
     return extract.boundarily_similar(d, d.reflected())
 
 
-def _searched_diagram_count(lat: lattice.FiniteLattice) -> int:
+def _searched_diagram_count(lat) -> int:
     """The product over glued-sum components of their orientation counts,
     each decided by isomorphism search instead of by the permutation, so
     that the count does not rest on the theorem it checks."""
+    from slimlat import extract, lattice
     nar = lattice.narrows(lat)
     count = 1
     for lo, hi in zip(nar, nar[1:]):
@@ -324,6 +367,7 @@ def _searched_diagram_count(lat: lattice.FiniteLattice) -> int:
 
 
 def _check_diagram_counts(scale: int) -> dict:
+    from slimlat import extract, grid
     # the search side, the production count and the class size must agree
     bad = total = 0
     for k in range(1, scale + 1):
@@ -338,6 +382,7 @@ def _check_diagram_counts(scale: int) -> dict:
 
 
 def _check_group_realization(scale: int) -> dict:
+    from slimlat import extract, grid, groups, lattice
     bad = total = 0
     for k in range(1, scale + 1):
         primes = groups.first_primes(k)
@@ -363,6 +408,9 @@ def _check_class_counts(scale: int) -> dict:
 
 
 def _check_random_round_trip(n_max: int, seed: int) -> dict:
+    import random
+
+    from slimlat import extract, grid
     rng = random.Random(seed)
     sizes = [min(k, RANDOM_SIZE_CAP) for k in (n_max + 1, n_max + 2)]
     bad = total = 0

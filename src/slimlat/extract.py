@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, _cached,
                              _search_isomorphisms, covering_squares,
                              is_semimodular, is_slim, narrows)
-from slimlat.perm import Permutation, is_involution_on, rho_class
+from slimlat.perm import Permutation, _Frozen, is_involution_on, rho_class
 
 Edge = tuple[int, int]
 Chain = tuple[int, ...]
@@ -72,11 +71,21 @@ class ExtractorDisagreement(RuntimeError):
     input violating the preconditions in a way that slipped the checks)."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Frozen):
     """A maximal walk through opposite edges of covering squares."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, ...]):
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
 
 
 def _require_slim_semimodular(lattice: FiniteLattice) -> None:

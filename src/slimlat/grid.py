@@ -23,12 +23,12 @@ pair, then maps each element to the least closed element above it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice
-from slimlat.perm import LengthMismatch, Permutation
+from slimlat.perm import LengthMismatch, Permutation, _Frozen
 
 Coord = tuple[int, int]
 
@@ -45,22 +45,27 @@ class HypothesisViolated(ValueError):
     """A congruence does not satisfy the preconditions of regeneration."""
 
 
-class GridCell(NamedTuple):
-    """The 4-cell whose top is the grid element (i, j), 1-based."""
-
-    i: int
-    j: int
+GridCell = namedtuple("GridCell", "i j")
+GridCell.__doc__ = "The 4-cell whose top is the grid element (i, j), 1-based."
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Frozen):
     """The square grid of side n (length 2n as a lattice)."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValueError("side must be nonnegative")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
     @property
     def side(self) -> int:
@@ -103,8 +108,7 @@ class Grid:
                 yield GridCell(i, j)
 
 
-@dataclass(frozen=True)
-class GridCongruence:
+class GridCongruence(_Frozen):
     """A partition of the grid elements, normally a join-congruence.
 
     Labels are canonical: blocks are numbered by first occurrence when
@@ -113,8 +117,19 @@ class GridCongruence:
     forbidden-cell detector must be able to inspect.
     """
 
-    n: int
-    labels: tuple[int, ...]
+    __slots__ = ("n", "labels")
+
+    def __init__(self, n: int, labels: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.labels) == (other.n, other.labels)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.labels))
 
     @property
     def grid(self) -> Grid:

@@ -27,11 +27,10 @@ i-th downward step of a series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice
-from slimlat.perm import LengthMismatch, Permutation
+from slimlat.perm import LengthMismatch, Permutation, _Frozen
 
 _ORDER_CAP = 2 ** 63  # keep orders inside 64-bit machine integers
 
@@ -52,15 +51,27 @@ class FactorMismatch(ValueError):
     """The two requested composition steps have different prime quotients."""
 
 
-@dataclass(frozen=True)
-class CyclicCslInstance:
+class CyclicCslInstance(_Frozen):
     """Two composition series of one cyclic group, given by their orders."""
 
-    primes: tuple[int, ...]
-    pi: Permutation
-    h_orders: tuple[int, ...]
-    k_orders: tuple[int, ...]
-    elements: tuple[int, ...]
+    __slots__ = ("primes", "pi", "h_orders", "k_orders", "elements")
+
+    def __init__(self, primes: tuple[int, ...], pi: Permutation, h_orders: tuple[int, ...],
+                 k_orders: tuple[int, ...], elements: tuple[int, ...]):
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "h_orders", h_orders)
+        object.__setattr__(self, "k_orders", k_orders)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.primes, self.pi, self.h_orders, self.k_orders, self.elements)
+                    == (other.primes, other.pi, other.h_orders, other.k_orders, other.elements))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.primes, self.pi, self.h_orders, self.k_orders, self.elements))
 
     @property
     def n(self) -> int:

@@ -20,8 +20,9 @@ similarity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+
+from slimlat.perm import _Frozen
 
 # The largest lattice size lattice_from_json accepts.  Construction costs
 # O(size^2) bits of masks and an O(size^2) check that every pair has a join
@@ -455,7 +456,7 @@ def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
 # -- isomorphism -------------------------------------------------------------
 
 def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
-                      ) -> Optional[tuple[list[int], list[int]]]:
+                      ) -> tuple[list[int], list[int]] | None:
     """Iterated degree/height refinement over both lattices with a shared
     palette; returns stable color vectors or None if histograms separate."""
     def seed(lat):
@@ -489,8 +490,8 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
 
 
 def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
-                         pinned: Optional[dict[int, int]] = None,
-                         limit: Optional[int] = 1) -> Iterator[tuple[int, ...]]:
+                         pinned: dict[int, int] | None = None,
+                         limit: int | None = 1) -> Iterator[tuple[int, ...]]:
     """Backtracking search for order isomorphisms l1 -> l2.
 
     Elements are assigned in height order, so when x is placed all its lower
@@ -544,7 +545,7 @@ def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
 
 
 def find_isomorphism(l1: FiniteLattice, l2: FiniteLattice,
-                     max_size: int = 200) -> Optional[tuple[int, ...]]:
+                     max_size: int = 200) -> tuple[int, ...] | None:
     """A witness order isomorphism as a tuple (image of each element), or None."""
     if max(l1.size, l2.size) > max_size:
         raise TooLarge(f"size exceeds the isomorphism cap {max_size}")
@@ -566,8 +567,7 @@ def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
 
 # -- bordered diagrams --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BorderedDiagram:
+class BorderedDiagram(_Frozen):
     """A lattice with a distinguished left and right maximal chain.
 
     Both chains must run from bottom to top through covers and together
@@ -576,17 +576,28 @@ class BorderedDiagram:
     pair plays the role of a planar diagram up to boundary similarity.
     """
 
-    lattice: FiniteLattice
-    left_chain: tuple[int, ...]
-    right_chain: tuple[int, ...]
+    __slots__ = ("lattice", "left_chain", "right_chain")
 
-    def __post_init__(self):
-        for name, chain_ in (("left", self.left_chain), ("right", self.right_chain)):
-            _check_maximal_chain(self.lattice, chain_, name)
-        boundary = set(self.left_chain) | set(self.right_chain)
-        missing = [x for x in join_irreducibles(self.lattice) if x not in boundary]
+    def __init__(self, lattice: FiniteLattice, left_chain: tuple[int, ...],
+                 right_chain: tuple[int, ...]):
+        for name, chain_ in (("left", left_chain), ("right", right_chain)):
+            _check_maximal_chain(lattice, chain_, name)
+        boundary = set(left_chain) | set(right_chain)
+        missing = [x for x in join_irreducibles(lattice) if x not in boundary]
         if missing:
             raise InvalidDiagram(f"join-irreducibles {missing} not on either chain")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "left_chain", left_chain)
+        object.__setattr__(self, "right_chain", right_chain)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.lattice, self.left_chain, self.right_chain)
+                    == (other.lattice, other.left_chain, other.right_chain))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.left_chain, self.right_chain))
 
     @property
     def n(self) -> int:
@@ -669,7 +680,7 @@ def diagram_from_json(obj: dict) -> BorderedDiagram:
                            _integers(right, "right chain"))
 
 
-def to_dot(lattice: FiniteLattice, labels: Optional[dict[int, str]] = None,
+def to_dot(lattice: FiniteLattice, labels: dict[int, str] | None = None,
            name: str = "lattice") -> str:
     """Graphviz source: one node per element ranked by height, one edge per cover."""
     if labels is None:

@@ -14,8 +14,7 @@ inverse.  Classes of this equivalence are what the :mod:`slimlat.grid` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 # enumerate_reps filters all of S_n: about 2 s at n = 9 on a 2-vCPU VM
 ENUMERATION_CAP = 9
@@ -44,8 +43,33 @@ class IntervalOutOfRange(ValueError):
     """An interval argument is not an interval of {1..n}."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields as ``__slots__``, sets them in ``__init__``
+    through ``object.__setattr__`` and defines ``__eq__`` and ``__hash__``
+    over them.  Assigning or deleting a field raises AttributeError; the
+    repr names every field, and copies and pickles rebuild the value through
+    the constructor, whose parameters are the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Permutation(_Frozen):
     """A permutation of {1..n} in one-line notation (n = 0 is allowed).
 
     >>> s = Permutation((2, 3, 1))
@@ -59,21 +83,30 @@ class Permutation:
     slimlat.perm.DuplicateValue: value 1 appears more than once
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
+    def __init__(self, images: Iterable[int]):
         # any iterable of images is accepted, and stored as a tuple so that
         # permutations hash
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
+        if not isinstance(images, tuple):
+            images = tuple(images)
+        n = len(images)
         seen = [False] * n
-        for v in self.images:
+        for v in images:
             if not isinstance(v, int) or not 1 <= v <= n:
                 raise OutOfRange(f"value {v} outside 1..{n}")
             if seen[v - 1]:
                 raise DuplicateValue(f"value {v} appears more than once")
             seen[v - 1] = True
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def n(self) -> int:
@@ -137,18 +170,26 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
-@dataclass(frozen=True)
-class SegmentPartition:
+class SegmentPartition(_Frozen):
     """An ordered partition of {1..n} into consecutive intervals."""
 
-    segments: tuple[tuple[int, ...], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple[tuple[int, ...], ...]):
         expect = 1
-        for seg in self.segments:
+        for seg in segments:
             if not seg or seg[0] != expect or list(seg) != list(range(seg[0], seg[-1] + 1)):
-                raise ValueError(f"segments {self.segments} do not tile 1..n consecutively")
+                raise ValueError(f"segments {segments} do not tile 1..n consecutively")
             expect = seg[-1] + 1
+        object.__setattr__(self, "segments", segments)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.segments == other.segments
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.segments,))
 
     @property
     def n(self) -> int:

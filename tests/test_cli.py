@@ -418,6 +418,30 @@ class TestVerify:
         assert [(c["name"], c["details"]) for c in failed] == [
             ("structural", "6 failures, first at (3, (1, 2, 3))")]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_bundle_check_fails_alone(self, capsys, monkeypatch, workers):
+        # regenerate now raises HypothesisViolated for every congruence
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(grid, "is_cover_preserving", lambda kappa: False)
+        code, out, err = run(capsys, "verify", "--n", "3")
+        assert code == 1 and f"with {workers} worker(s)" in err
+        checks = json.loads(out)["checks"]
+        assert len(checks) == len(cli.BUNDLE_CHECKS) + 5
+        assert [(c["name"], c["details"]) for c in checks if not c["passed"]] == [
+            ("source_cells_regenerate", "9 failures, first at (1, (1,))")]
+
+    def test_a_raising_check_fails_alone(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("injected")
+        monkeypatch.setattr(lattice, "is_isomorphic", boom)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False and len(report["checks"]) == len(cli.BUNDLE_CHECKS) + 5
+        assert [(c["name"], c["scale"], c["details"]) for c in report["checks"] if not c["passed"]] == [
+            ("pairwise_iso", 3, "raised RuntimeError: injected"),
+            ("group_realization", 3, "raised RuntimeError: injected")]
+
     @pytest.mark.parametrize("n_max, scale", [(9, 11), (10, 12), (40, 32)])
     def test_random_round_trip_always_draws(self, n_max, scale):
         check = cli._check_random_round_trip(n_max, 0)
@@ -434,6 +458,48 @@ class TestVerify:
             report.pop("wall_time_s")
             reports.append(report)
         assert reports[0] == reports[1]
+
+
+def _imported(*argv) -> set[str]:
+    """The modules a fresh interpreter running argv imports, as listed by
+    -X importtime."""
+    proc = run_python("-X", "importtime", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestStartup:
+    """Each command imports only the modules it runs, and no command
+    imports dataclasses."""
+
+    @pytest.fixture(scope="class")
+    def bare(self):
+        return _imported("-c", "pass")
+
+    def test_import_loads_no_submodule(self, bare):
+        new = _imported("-c", "import slimlat; assert set(slimlat.__all__) <= set(dir(slimlat))")
+        assert {m for m in new - bare if m.startswith("slimlat")} == {"slimlat"}
+
+    def test_build(self, bare):
+        new = _imported("-m", "slimlat.cli", "build", "--perm", "2,1") - bare
+        assert {m for m in new if m.startswith("slimlat")} == {
+            "slimlat", "slimlat.perm", "slimlat.lattice", "slimlat.grid"}
+        assert "dataclasses" not in new
+
+    def test_extract(self, bare, capsys, tmp_path):
+        _, out, _ = run(capsys, "build", "--perm", "2,1")
+        path = tmp_path / "diagram.json"
+        path.write_text(out, encoding="utf-8")
+        new = _imported("-m", "slimlat.cli", "extract", "--diagram", str(path)) - bare
+        assert {m for m in new if m.startswith("slimlat")} == {
+            "slimlat", "slimlat.perm", "slimlat.lattice", "slimlat.extract"}
+        assert "dataclasses" not in new
+
+    def test_count(self, bare):
+        new = _imported("-m", "slimlat.cli", "count", "--n", "5") - bare
+        assert {m for m in new if m.startswith("slimlat")} == {"slimlat", "slimlat.perm"}
+        assert "dataclasses" not in new
 
 
 def test_import_leaves_out_process_pool():
