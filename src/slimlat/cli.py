@@ -345,11 +345,11 @@ def _check_pairwise_iso(scale: int) -> dict:
 def _reflection_similar(lat, lo: int, hi: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """True iff some automorphism of [lo, hi] swaps the chains u and v, by a
     pinned isomorphism search on the interval as a lattice of its own."""
-    from slimlat import extract, lattice
+    from slimlat import lattice
     sub, elems = lattice.interval_sublattice(lat, lo, hi)
     index = {x: k for k, x in enumerate(elems)}
     d = lattice.BorderedDiagram(sub, tuple(index[x] for x in u), tuple(index[x] for x in v))
-    return extract.boundarily_similar(d, d.reflected())
+    return lattice.boundarily_similar(d, d.reflected())
 
 
 def _searched_diagram_count(lat) -> int:

@@ -37,9 +37,9 @@ import itertools
 import math
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, _cached,
-                             _search_isomorphisms, covering_squares,
-                             is_semimodular, is_slim, narrows)
-from slimlat.perm import Permutation, _Frozen, is_involution_on, rho_class
+                             covering_squares, is_semimodular, is_slim,
+                             narrows)
+from slimlat.perm import Permutation, _Frozen, is_involution_on
 
 Edge = tuple[int, int]
 Chain = tuple[int, ...]
@@ -75,17 +75,6 @@ class Trajectory(_Frozen):
     """A maximal walk through opposite edges of covering squares."""
 
     __slots__ = ("edges",)
-
-    def __init__(self, edges: tuple[Edge, ...]):
-        object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.edges,))
 
 
 def _require_slim_semimodular(lattice: FiniteLattice) -> None:
@@ -326,23 +315,3 @@ def diagram_count(lattice: FiniteLattice) -> int:
     the per-component orientation counts, read off one extraction.  Equals
     the class size of any of the lattice's permutations."""
     return math.prod(len(choices) for choices in _orientation_options(lattice))
-
-
-def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:
-    """True iff some lattice isomorphism maps left chain to left chain and
-    right chain to right chain."""
-    if len(d1.left_chain) != len(d2.left_chain):
-        return False
-    pinned: dict[int, int] = {}
-    for x, y in itertools.chain(zip(d1.left_chain, d2.left_chain),
-                                zip(d1.right_chain, d2.right_chain)):
-        if pinned.setdefault(x, y) != y:
-            return False
-    for _ in _search_isomorphisms(d1.lattice, d2.lattice, pinned=pinned, limit=1):
-        return True
-    return False
-
-
-def class_of_diagram(diagram: BorderedDiagram) -> frozenset[Permutation]:
-    """The equivalence class realized by all diagrams of the same lattice."""
-    return rho_class(extract_permutation(diagram))

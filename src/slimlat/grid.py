@@ -59,14 +59,6 @@ class Grid(_Frozen):
             raise ValueError("side must be nonnegative")
         object.__setattr__(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
     @property
     def side(self) -> int:
         return self.n + 1
@@ -118,18 +110,6 @@ class GridCongruence(_Frozen):
     """
 
     __slots__ = ("n", "labels")
-
-    def __init__(self, n: int, labels: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.labels) == (other.n, other.labels)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.labels))
 
     @property
     def grid(self) -> Grid:
@@ -200,20 +180,6 @@ class GridCongruence(_Frozen):
         if check and not result.is_join_compatible():
             raise ValueError("partition is not join-compatible")
         return result
-
-    def to_json(self) -> dict:
-        side = self.n + 1
-        return {"n": self.n,
-                "blocks": [list(self.labels[i * side:(i + 1) * side]) for i in range(side)]}
-
-    @classmethod
-    def from_json(cls, obj: dict, check: bool = True) -> "GridCongruence":
-        try:
-            n = int(obj["n"])
-            labels = [int(x) for row in obj["blocks"] for x in row]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed congruence object: {exc}") from exc
-        return cls.from_labels(n, labels, check=check)
 
 
 def _top_coordinates(n: int, labels: Sequence[int]) -> tuple[list[int], list[int]]:

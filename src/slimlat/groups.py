@@ -56,23 +56,6 @@ class CyclicCslInstance(_Frozen):
 
     __slots__ = ("primes", "pi", "h_orders", "k_orders", "elements")
 
-    def __init__(self, primes: tuple[int, ...], pi: Permutation, h_orders: tuple[int, ...],
-                 k_orders: tuple[int, ...], elements: tuple[int, ...]):
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "h_orders", h_orders)
-        object.__setattr__(self, "k_orders", k_orders)
-        object.__setattr__(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.primes, self.pi, self.h_orders, self.k_orders, self.elements)
-                    == (other.primes, other.pi, other.h_orders, other.k_orders, other.elements))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.primes, self.pi, self.h_orders, self.k_orders, self.elements))
-
     @property
     def n(self) -> int:
         return len(self.primes)

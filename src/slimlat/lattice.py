@@ -12,10 +12,10 @@ Conventions:
 
 The module also provides the predicates used throughout the package
 (semimodularity, slimness, narrows, covering squares), a brute-force
-isomorphism oracle with witness maps, and the :class:`BorderedDiagram`
-wrapper that fixes a left and a right maximal chain of a lattice, the
-combinatorial stand-in for a planar diagram considered up to boundary
-similarity.
+isomorphism oracle with witness maps, the :class:`BorderedDiagram` wrapper
+that fixes a left and a right maximal chain of a lattice, the combinatorial
+stand-in for a planar diagram considered up to boundary similarity, and a
+test of boundary similarity by the same isomorphism search.
 """
 from __future__ import annotations
 
@@ -228,9 +228,6 @@ class FiniteLattice:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.down[y] >> x & 1)
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
-
     def comparable(self, x: int, y: int) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
@@ -258,9 +255,6 @@ class FiniteLattice:
     def upper_covers(self, x: int) -> tuple[int, ...]:
         return self.covers_up[x]
 
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        return self.covers_down[x]
-
     @property
     def length(self) -> int:
         return self.height[self.top]
@@ -287,6 +281,10 @@ class FiniteLattice:
 
     def __hash__(self) -> int:
         return hash((self.size, self.covers))
+
+    def __reduce__(self):
+        # through the validating constructor, as _Frozen values are rebuilt
+        return self.__class__, (self.size, self.covers)
 
     def __repr__(self) -> str:
         return f"FiniteLattice(size={self.size}, covers={sorted(self.covers)})"
@@ -405,11 +403,6 @@ def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
         out.sort(key=lambda x: lattice.height[x])
         return tuple(out)
     return _cached(lattice, "narrows", compute)
-
-
-def is_indecomposable(lattice: FiniteLattice) -> bool:
-    """True iff size 1, or exactly two narrows in a lattice of size > 2."""
-    return lattice.size == 1 or (len(narrows(lattice)) == 2 and lattice.size > 2)
 
 
 def dual(lattice: FiniteLattice) -> FiniteLattice:
@@ -565,6 +558,21 @@ def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
     return _cached(lattice, "automorphisms", compute)
 
 
+def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:
+    """True iff some lattice isomorphism maps left chain to left chain and
+    right chain to right chain."""
+    if len(d1.left_chain) != len(d2.left_chain):
+        return False
+    pinned: dict[int, int] = {}
+    for x, y in itertools.chain(zip(d1.left_chain, d2.left_chain),
+                                zip(d1.right_chain, d2.right_chain)):
+        if pinned.setdefault(x, y) != y:
+            return False
+    for _ in _search_isomorphisms(d1.lattice, d2.lattice, pinned=pinned, limit=1):
+        return True
+    return False
+
+
 # -- bordered diagrams --------------------------------------------------------
 
 class BorderedDiagram(_Frozen):
@@ -589,15 +597,6 @@ class BorderedDiagram(_Frozen):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "left_chain", left_chain)
         object.__setattr__(self, "right_chain", right_chain)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.lattice, self.left_chain, self.right_chain)
-                    == (other.lattice, other.left_chain, other.right_chain))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.left_chain, self.right_chain))
 
     @property
     def n(self) -> int:

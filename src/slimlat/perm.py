@@ -46,14 +46,38 @@ class IntervalOutOfRange(ValueError):
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields as ``__slots__``, sets them in ``__init__``
-    through ``object.__setattr__`` and defines ``__eq__`` and ``__hash__``
-    over them.  Assigning or deleting a field raises AttributeError; the
-    repr names every field, and copies and pickles rebuild the value through
-    the constructor, whose parameters are the fields in order.
+    A subclass lists its fields as ``__slots__``, in constructor order, and
+    equality (same class, equal fields), the hash (of the tuple of fields),
+    the repr, copies and pickles (rebuilt through the constructor) are
+    derived from them.  ``__init__`` is inherited, storing its positional
+    arguments as the fields, unless the class validates its input; then its
+    own stores them with ``object.__setattr__``.  Assigning or deleting a
+    field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self.__slots__)}"
+                            f" fields {self.__slots__}, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # field by field: building two tuples made this 3x slower
+            for name in self.__slots__:
+                if getattr(self, name) != getattr(other, name):
+                    return False
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,7 +86,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self._fields()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -99,14 +123,6 @@ class Permutation(_Frozen):
                 raise DuplicateValue(f"value {v} appears more than once")
             seen[v - 1] = True
         object.__setattr__(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
 
     @property
     def n(self) -> int:
@@ -182,14 +198,6 @@ class SegmentPartition(_Frozen):
                 raise ValueError(f"segments {segments} do not tile 1..n consecutively")
             expect = seg[-1] + 1
         object.__setattr__(self, "segments", segments)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.segments == other.segments
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.segments,))
 
     @property
     def n(self) -> int:
@@ -343,10 +351,6 @@ def canonical_rep(sigma: Permutation) -> Permutation:
         fwd = _restriction(sigma.images, lo, hi)
         pieces.append(min(fwd, _restriction_inverse(sigma.images, lo, hi)))
     return Permutation(tuple(itertools.chain.from_iterable(pieces)))
-
-
-def is_canonical(sigma: Permutation) -> bool:
-    return canonical_rep(sigma) == sigma
 
 
 def _images_canonical(images: tuple[int, ...]) -> bool:

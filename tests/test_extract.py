@@ -193,22 +193,18 @@ class TestDiagramsOf:
 class TestBoundarySimilarity:
     def test_self_similar(self):
         d = grid.phi0(Permutation((2, 3, 1)))
-        assert extract.boundarily_similar(d, d)
+        assert lattice.boundarily_similar(d, d)
 
     def test_reflection_of_asymmetric_not_similar(self):
         d = grid.phi0(Permutation((2, 3, 1)))
-        assert not extract.boundarily_similar(d, d.reflected())
+        assert not lattice.boundarily_similar(d, d.reflected())
 
     def test_reflection_of_b2_similar(self):
         d = grid.phi0(Permutation((2, 1)))
-        assert extract.boundarily_similar(d, d.reflected())
+        assert lattice.boundarily_similar(d, d.reflected())
 
     def test_across_lattices(self):
         d1 = grid.phi0(Permutation((2, 1, 3)))
         d2 = grid.phi0(Permutation((2, 1, 3)))
-        assert extract.boundarily_similar(d1, d2)
-        assert not extract.boundarily_similar(d1, grid.phi0(Permutation((1, 2, 3))))
-
-    def test_class_of_diagram(self):
-        d = grid.phi0(Permutation((2, 3, 1)))
-        assert extract.class_of_diagram(d) == rho_class(Permutation((2, 3, 1)))
+        assert lattice.boundarily_similar(d1, d2)
+        assert not lattice.boundarily_similar(d1, grid.phi0(Permutation((1, 2, 3))))

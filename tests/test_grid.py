@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from slimlat import cli, extract, grid, lattice
+from slimlat import cli, grid, lattice
 from slimlat.grid import Grid, GridCell, GridCongruence
 from slimlat.perm import LengthMismatch, Permutation, segments
 
@@ -335,10 +335,6 @@ class TestCongruenceType:
         with pytest.raises(ValueError):
             GridCongruence.from_labels(2, [0, 1])
 
-    def test_json_round_trip(self):
-        kappa = grid.beta_from_perm(Grid(3), Permutation((3, 1, 2)))
-        assert GridCongruence.from_json(kappa.to_json()) == kappa
-
     def test_blocks_are_convex_and_join_closed(self):
         g = Grid(3)
         for pi in all_perms(3):
@@ -499,7 +495,7 @@ class TestPhi0:
                     sub,
                     tuple(index[d.left_chain[k]] for k in range(a, b + 1)),
                     tuple(index[d.right_chain[k]] for k in range(a, b + 1)))
-                assert extract.boundarily_similar(inner, grid.phi0(pi.restrict(a + 1, b)))
+                assert lattice.boundarily_similar(inner, grid.phi0(pi.restrict(a + 1, b)))
 
     def test_layout_shape(self):
         pi = Permutation((2, 3, 1))

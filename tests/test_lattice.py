@@ -182,14 +182,10 @@ class TestPredicates:
 
     def test_narrows_chain(self):
         assert lattice.narrows(CHAIN4) == (0, 1, 2, 3)
+        assert lattice.narrows(lattice.from_covers(1, [])) == (0,)
 
     def test_narrows_b2(self):
         assert lattice.narrows(B2) == (0, 3)
-        assert lattice.is_indecomposable(B2)
-
-    def test_two_chain_not_indecomposable(self):
-        assert not lattice.is_indecomposable(lattice.chain(1))
-        assert lattice.is_indecomposable(lattice.from_covers(1, []))
 
     def test_narrows_heights_match_segments(self):
         # segments of (2,1,3) are {1,2},{3}, so narrows sit at heights 0, 2, 3

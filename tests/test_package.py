@@ -2,6 +2,7 @@
 import copy
 import importlib
 import pickle
+import pkgutil
 
 import pytest
 
@@ -67,18 +68,42 @@ class TestValueClasses:
             value.extra = 1
         assert repr(value) == text
 
-    # protocols 0 and 1 cannot pickle FiniteLattice, a slotted class without
-    # __getstate__, so they are left out for every class
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy,
         *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol))
-          for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1))],
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1))],
         ids=["copy", "deepcopy",
-             *(f"pickle{protocol}" for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1))])
+             *(f"pickle{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1))])
     def test_copies_and_pickles(self, value, text, fields, clone):
         twin = clone(value)
         assert twin.__class__ is value.__class__
         assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_derives_the_contract():
+    for info in pkgutil.iter_modules(slimlat.__path__):
+        importlib.import_module(f"slimlat.{info.name}")
+    tested = {value.__class__ for value, _, _ in VALUES}
+    for cls in _subclasses(perm._Frozen):
+        assert cls in tested, f"{cls.__qualname__} is missing from VALUES"
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls.__qualname__
+
+
+@pytest.mark.parametrize("cls", [GridCongruence, extract.Trajectory, groups.CyclicCslInstance],
+                         ids=lambda cls: cls.__name__)
+def test_store_only_classes_inherit_a_constructor_that_counts_fields(cls):
+    assert "__init__" not in vars(cls)
+    fields = (None,) * len(cls.__slots__)
+    assert cls(*fields) == cls(*fields)
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match=f"{cls.__qualname__} takes {len(fields)} fields"):
+            cls(*wrong)
 
 
 def test_permutation_takes_any_iterable():
