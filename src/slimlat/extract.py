@@ -36,13 +36,21 @@ from __future__ import annotations
 import itertools
 import math
 
-from slimlat.lattice import (BorderedDiagram, FiniteLattice, _cached,
-                             covering_squares, is_semimodular, is_slim,
-                             narrows)
+from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _cached,
+                             _two_colouring, covering_squares, is_semimodular,
+                             is_slim, narrows)
 from slimlat.perm import Permutation, _Frozen, is_involution_on
 
 Edge = tuple[int, int]
 Chain = tuple[int, ...]
+
+# The most diagrams diagrams_of builds.  The count is a product of per-component
+# factors of 1 or 2, so it is exponential in the number of components: a direct
+# sum of 32 copies of (2,3,1) (n = 96, 161 elements) has 2^32 diagrams, which
+# diagram_count returns in 2 ms.  perfbench's traced replay asks for at most 64
+# (its block sums have at most six components; 32 on seeds 1, 1201 and 1202).
+# Building 2^12 = 4,096 takes 0.1 s, and refusing 2^13 under 1 ms (2-vCPU VM).
+DIAGRAMS_OF_CAP = 4096
 
 
 class NotSlimSemimodular(ValueError):
@@ -225,20 +233,11 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
     # lo is a narrow, so no lower cover of an element above lo lies outside
     # [lo, hi], and these are the join-irreducibles of the interval
     ji = [x for x in lattice.interval(lo, hi)[1:] if len(lattice.covers_down[x]) == 1]
-    colour = {ji[0]: 0}
-    stack = [ji[0]]
-    while stack:
-        x = stack.pop()
-        for y in ji:
-            if lattice.comparable(x, y):
-                continue
-            if y not in colour:
-                colour[y] = 1 - colour[x]
-                stack.append(y)
-            elif colour[y] == colour[x]:
-                raise NotSlimSemimodular(
-                    f"join-irreducibles of [{lo}, {hi}] are not two chains")
-    if len(colour) != len(ji):
+    colour = _two_colouring(lattice, ji)
+    if colour is None:
+        raise NotSlimSemimodular(
+            f"join-irreducibles of [{lo}, {hi}] are not two chains")
+    if max(colour.values()) > 1:
         raise RuntimeError(
             f"component [{lo}, {hi}] has more than one boundary chain pair")
 
@@ -304,10 +303,15 @@ def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:
     diagrams are therefore the products of the per-component orientation
     choices; a component whose segment of the permutation is an involution
     keeps only the lexicographically smaller orientation.  The orientations
-    are read off one extraction, so this is polynomial in the lattice size.
+    are read off one extraction, so this is polynomial in the lattice size
+    up to the output, which is capped: above DIAGRAMS_OF_CAP diagrams it
+    raises TooLarge before building any.
     """
-    return tuple(_assemble(lattice, combo)
-                 for combo in itertools.product(*_orientation_options(lattice)))
+    options = _orientation_options(lattice)
+    count = math.prod(map(len, options))
+    if count > DIAGRAMS_OF_CAP:
+        raise TooLarge(f"{count} diagrams exceed the cap {DIAGRAMS_OF_CAP}")
+    return tuple(_assemble(lattice, combo) for combo in itertools.product(*options))
 
 
 def diagram_count(lattice: FiniteLattice) -> int:

@@ -20,6 +20,7 @@ test of boundary similarity by the same isomorphism search.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from slimlat.perm import _Frozen
@@ -116,17 +117,17 @@ class FiniteLattice:
     def _from_closed_blocks(cls, covers_up: Sequence[Sequence[int]],
                             above: Sequence[int], order: Sequence[int]
                             ) -> "FiniteLattice":
-        """The quotient lattice grid.quotient has computed, without validation.
+        """A lattice its caller already knows to be one, without validation.
 
-        covers_up[x] lists the upper covers of block x in ascending order,
-        above[x] is the mask of the blocks strictly above x, and order lists
-        the blocks by the rank i + j of their tops (i, j).  The blocks stand
-        for the closed elements of a closure operator on the grid, which are
-        meet-closed and contain the top, so they form a lattice; quotient
-        takes the covers as the transitive reduction of the order, a
-        strictly larger block has a top of strictly larger rank, and so
-        order is a linear extension that starts at the bottom and ends at
-        the top.  Only grid.quotient may call this.
+        Every caller must guarantee what __init__ would check:
+        covers_up[x] lists the upper covers of x in ascending order and the
+        covers are the transitive reduction of a lattice order, above[x] is
+        the mask of the elements strictly above x, and order is a linear
+        extension of the order, so it starts at the bottom and ends at the
+        top.  grid.quotient builds the closed elements of a closure
+        operator, and groups builds the intersections of two chains of
+        divisors; both are lattices by construction.  Cost: that of
+        _build_cones.
         """
         self = cls.__new__(cls)
         self.size = size = len(order)
@@ -342,22 +343,27 @@ def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
     return _cached(lattice, "mi", compute)
 
 
-def _two_chains(lattice: FiniteLattice, elems: Sequence[int]) -> bool:
-    """True iff the elements contain no three-element antichain
-    (equivalently, they are a union of two chains).
+def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
+                   ) -> dict[int, int] | None:
+    """A proper 2-colouring of the incomparability graph of the elements, or
+    None if it has none.  Its k-th connected component, in the order of
+    elems, takes the colours 2k and 2k + 1, the first at its first member.
 
     The incomparability graph of a poset is perfect, so it has no triangle
-    iff it is bipartite; one 2-colouring of the elements decides it.  Cost:
-    O(k^2) bitmask operations for k elements.
+    iff it is bipartite: the colouring exists iff the elements contain no
+    three-element antichain (equivalently, they are a union of two chains).
+    Cost: O(k^2) bitmask operations for k elements.
     """
     members = 0
     for x in elems:
         members |= 1 << x
     colour: dict[int, int] = {}
+    base = 0
     for start in elems:
         if start in colour:
             continue
-        colour[start] = 0
+        colour[start] = base
+        base += 2
         stack = [start]
         while stack:
             x = stack.pop()
@@ -367,11 +373,11 @@ def _two_chains(lattice: FiniteLattice, elems: Sequence[int]) -> bool:
                 rest ^= low
                 y = low.bit_length() - 1
                 if y not in colour:
-                    colour[y] = 1 - colour[x]
+                    colour[y] = colour[x] ^ 1
                     stack.append(y)
                 elif colour[y] == colour[x]:
-                    return False
-    return True
+                    return None
+    return colour
 
 
 def is_slim(lattice: FiniteLattice) -> bool:
@@ -379,7 +385,7 @@ def is_slim(lattice: FiniteLattice) -> bool:
     (equivalently, they are a union of two chains), by one 2-colouring of
     their incomparability graph."""
     return _cached(lattice, "slim",
-                   lambda: _two_chains(lattice, join_irreducibles(lattice)))
+                   lambda: _two_colouring(lattice, join_irreducibles(lattice)) is not None)
 
 
 def is_dually_slim(lattice: FiniteLattice) -> bool:
@@ -387,7 +393,7 @@ def is_dually_slim(lattice: FiniteLattice) -> bool:
     three-element antichain.  Decided on the lattice itself, by one
     2-colouring of their incomparability graph."""
     return _cached(lattice, "dually_slim",
-                   lambda: _two_chains(lattice, meet_irreducibles(lattice)))
+                   lambda: _two_colouring(lattice, meet_irreducibles(lattice)) is not None)
 
 
 def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
@@ -414,17 +420,19 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
     """All cover-preserving 4-element sublattices of length two.
 
     Returned as tuples (w, a, b, t) with w covered by a and b, both covered
-    by t, and a < b; t is forced to be the join of a and b, and w their meet,
-    so each pair of upper covers spans at most one square.  Cost: O(sum of
-    squared up-degrees) joins.
+    by t, and a < b.  An element covering both a and b is their join, so
+    each pair of upper covers spans at most one square, and t is the one
+    common upper cover of a and b if there is one.  Cost: O(sum of squared
+    up-degrees) scans of two cover lists.
     """
     def compute():
         squares = set()
-        for w in range(lattice.size):
-            for a, b in itertools.combinations(lattice.covers_up[w], 2):
-                t = lattice.join(a, b)
-                if lattice.is_cover(a, t) and lattice.is_cover(b, t):
-                    squares.add((w, a, b, t))
+        covers_up = lattice.covers_up
+        for w, ups in enumerate(covers_up):
+            for a, b in itertools.combinations(ups, 2):
+                for t in covers_up[a]:
+                    if t in covers_up[b]:
+                        squares.add((w, a, b, t))
         return frozenset(squares)
     return _cached(lattice, "squares", compute)
 
@@ -450,36 +458,48 @@ def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
 
 def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
                       ) -> tuple[list[int], list[int]] | None:
-    """Iterated degree/height refinement over both lattices with a shared
-    palette; returns stable color vectors or None if histograms separate."""
-    def seed(lat):
-        return [(lat.height[x], len(lat.covers_down[x]), len(lat.covers_up[x]))
-                for x in range(lat.size)]
+    """The coarsest equitable partition of both lattices together that
+    refines (height, number of lower covers, number of upper covers), as
+    colour vectors; None once the two sides' class sizes differ.
 
-    def histogram(colors):
-        out: dict = {}
-        for c in colors:
-            out[c] = out.get(c, 0) + 1
-        return out
-
-    c1, c2 = seed(l1), seed(l2)
+    Sweeps alternate upward and downward along the linear extension.  A
+    sweep recolours each element from its own colour and the new colours of
+    its lower covers (upper covers on the way down), through one palette
+    shared by both lattices, and stops when two sweeps in a row split no
+    class: then every class agrees on the classes of its lower and of its
+    upper covers.  Once every class holds one element of each lattice, the
+    partition is equitable exactly when pairing them is an isomorphism, and
+    otherwise a further sweep would split a class across the two sides, so
+    one pass over the covers decides.  Cost: O(size + |covers|) per sweep.
+    """
+    palette: dict = {}
+    lattices = (l1, l2)
+    colours = [[palette.setdefault((lat.height[x], len(lat.covers_down[x]),
+                                    len(lat.covers_up[x])), len(palette))
+                for x in range(lat.size)] for lat in lattices]
+    classes, calm, upward = 0, 0, True
     while True:
-        if histogram(c1) != histogram(c2):
+        c1, c2 = colours
+        if sorted(c1) != sorted(c2):
             return None
-        k1 = [(c1[x],
-               tuple(sorted(c1[u] for u in l1.covers_down[x])),
-               tuple(sorted(c1[u] for u in l1.covers_up[x])))
-              for x in range(l1.size)]
-        k2 = [(c2[x],
-               tuple(sorted(c2[u] for u in l2.covers_down[x])),
-               tuple(sorted(c2[u] for u in l2.covers_up[x])))
-              for x in range(l2.size)]
-        palette = {key: i for i, key in enumerate(sorted(set(k1) | set(k2)))}
-        n1 = [palette[k] for k in k1]
-        n2 = [palette[k] for k in k2]
-        if len(set(n1)) == len(set(c1)) and len(set(n2)) == len(set(c2)):
-            return n1, n2
-        c1, c2 = n1, n2
+        count = len(set(c1))
+        if count == len(c1):
+            # singletons are equitable iff pairing equal colours is an isomorphism
+            image = dict(zip(c2, range(l2.size)))
+            pairs = ((image[c1[a]], image[c1[b]]) for a, b in l1.covers)
+            return (c1, c2) if all(pair in l2.covers for pair in pairs) else None
+        calm = calm + 1 if count == classes else 0
+        if calm == 2:
+            return c1, c2
+        classes = count
+        for k, lat in enumerate(lattices):
+            old, new = colours[k], colours[k][:]
+            nearer = lat.covers_down if upward else lat.covers_up
+            for x in (lat._order if upward else reversed(lat._order)):
+                new[x] = palette.setdefault(
+                    (old[x], *sorted([new[u] for u in nearer[x]])), len(palette))
+            colours[k] = new
+        upward = not upward
 
 
 def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
@@ -502,11 +522,13 @@ def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
             if c1[x] != c2[y]:
                 return
 
-    class_size = {c: sum(1 for d in c1 if d == c) for c in set(c1)}
+    class_size = Counter(c1)
+    members: dict[int, list[int]] = {}
+    for y, c in enumerate(c2):
+        members.setdefault(c, []).append(y)
     order = sorted(range(l1.size), key=lambda x: (l1.height[x], class_size[c1[x]], x))
     candidates = [
-        [pinned[x]] if pinned and x in pinned else
-        [y for y in range(l2.size) if c2[y] == c1[x]]
+        [pinned[x]] if pinned and x in pinned else members.get(c1[x], [])
         for x in order
     ]
     mapping = [-1] * l1.size

@@ -349,3 +349,39 @@ def trial_division_is_prime(p):
             return False
         d += 1
     return True
+
+
+def joint_refinement_by_rounds(l1, l2):
+    """Colour refinement of both lattices in rounds with a shared palette:
+    each round recolours every element at once from its colour and the
+    sorted colours of its lower and of its upper covers, until neither
+    lattice gains a class.  Returns the two colour vectors, or None as soon
+    as the two histograms differ before a round."""
+    def seed(lat):
+        return [(lat.height[x], len(lat.covers_down[x]), len(lat.covers_up[x]))
+                for x in range(lat.size)]
+
+    def histogram(colors):
+        out = {}
+        for c in colors:
+            out[c] = out.get(c, 0) + 1
+        return out
+
+    c1, c2 = seed(l1), seed(l2)
+    while True:
+        if histogram(c1) != histogram(c2):
+            return None
+        k1 = [(c1[x],
+               tuple(sorted(c1[u] for u in l1.covers_down[x])),
+               tuple(sorted(c1[u] for u in l1.covers_up[x])))
+              for x in range(l1.size)]
+        k2 = [(c2[x],
+               tuple(sorted(c2[u] for u in l2.covers_down[x])),
+               tuple(sorted(c2[u] for u in l2.covers_up[x])))
+              for x in range(l2.size)]
+        palette = {key: i for i, key in enumerate(sorted(set(k1) | set(k2)))}
+        n1 = [palette[k] for k in k1]
+        n2 = [palette[k] for k in k2]
+        if len(set(n1)) == len(set(c1)) and len(set(n2)) == len(set(c2)):
+            return n1, n2
+        c1, c2 = n1, n2

@@ -152,6 +152,26 @@ class TestDiagramsOf:
         one = lattice.from_covers(1, [])
         assert extract.diagram_count(one) == 1
 
+    @staticmethod
+    def three_cycles(k):
+        """phi0 of k copies of (2,3,1) summed: 2^k diagrams."""
+        return grid.phi0(Permutation(tuple(
+            3 * b + v for b in range(k) for v in (2, 3, 1)))).lattice
+
+    def test_refuses_more_than_the_cap(self):
+        assert extract.DIAGRAMS_OF_CAP == 4096
+        for k in (13, 32):
+            lat = self.three_cycles(k)
+            start = time.perf_counter()
+            with pytest.raises(lattice.TooLarge, match=f"{2 ** k} diagrams exceed the cap 4096"):
+                extract.diagrams_of(lat)
+            assert time.perf_counter() - start < 0.1
+            assert extract.diagram_count(lat) == 2 ** k
+
+    def test_builds_up_to_the_cap(self):
+        diagrams = extract.diagrams_of(self.three_cycles(12))
+        assert len(diagrams) == 4096 == len(set(chains_of(diagrams)))
+
     def test_matches_search_oracle_exhaustive(self):
         for n in range(0, 7):
             for pi in all_perms(n):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -126,22 +127,39 @@ class TestDualDiagram:
             assert extract.diagram_count(d.lattice) == len(rho_class(pi))
 
 
+def intersection_instances():
+    """csl_build on every permutation with n <= 6, then on 200 seeded random
+    ones with 7 <= n <= 15 (the first 15 primes multiply to just under
+    _ORDER_CAP)."""
+    for n in range(0, 7):
+        for pi in all_perms(n):
+            yield csl_build(first_primes(n), pi)
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(7, 15)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        yield csl_build(first_primes(n), Permutation(tuple(images)))
+
+
 class TestDivisorLattice:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_triple_loop(self, reverse):
-        for n in range(0, 7):
-            primes = first_primes(n)
-            for pi in all_perms(n):
-                elements = csl_build(primes, pi).elements
-                got = groups._divisor_lattice(elements, reverse=reverse)
-                assert got.covers == oracles.naive_divisor_covers(elements, reverse)
+        for inst in intersection_instances():
+            got = groups._intersection_lattice(inst, reverse=reverse)
+            assert got.covers == oracles.naive_divisor_covers(inst.elements, reverse)
 
-    def test_any_divisor_set(self):
-        # not squarefree and not sorted: 12 covers 4 and 6, not 2
-        divisors = (12, 1, 4, 2, 6, 3)
-        for reverse in (False, True):
-            got = groups._divisor_lattice(divisors, reverse=reverse)
-            assert got.covers == oracles.naive_divisor_covers(divisors, reverse)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_validating_constructor(self, reverse):
+        for inst in intersection_instances():
+            got = groups._intersection_lattice(inst, reverse=reverse)
+            want = lattice.FiniteLattice(got.size, got.covers)
+            for name in ("up", "down", "height", "bottom", "top", "covers_up",
+                         "covers_down"):
+                assert getattr(got, name) == getattr(want, name), name
+            pairs = list(itertools.product(range(got.size), repeat=2))
+            assert [got.join(x, y) for x, y in pairs] == [want.join(x, y) for x, y in pairs]
+            assert [got.meet(x, y) for x, y in pairs] == [want.meet(x, y) for x, y in pairs]
 
 
 class TestJordanHolder:

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from slimlat import grid, lattice
+from slimlat import grid, groups, lattice
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation
 
@@ -223,6 +224,18 @@ class TestCoveringSquares:
         lat = grid.phi0(Permutation((2, 1))).lattice
         assert len(lattice.covering_squares(lat)) == 1
 
+    def test_matches_join_definition(self):
+        lattices = predicate_lattices() + [grid.phi0(Permutation(images)).lattice
+                                           for images in itertools.permutations(range(1, 7))]
+        for lat in lattices:
+            want = frozenset(
+                (w, a, b, t)
+                for w in range(lat.size)
+                for a, b in itertools.combinations(lat.covers_up[w], 2)
+                for t in [lat.join(a, b)]
+                if lat.is_cover(a, t) and lat.is_cover(b, t))
+            assert lattice.covering_squares(lat) == want
+
 
 class TestIsomorphism:
     def test_self(self):
@@ -273,6 +286,80 @@ class TestIsomorphism:
 
     def test_automorphisms_of_chain(self):
         assert lattice.automorphisms(CHAIN4) == (tuple(range(4)),)
+
+
+def boolean_lattice(k):
+    """The subsets of a k-set, ordered by inclusion."""
+    return FiniteLattice(1 << k, [(x, x | 1 << i) for x in range(1 << k)
+                                  for i in range(k) if not x >> i & 1])
+
+
+def refinement_corpus():
+    """(l1, l2, d1, d2) with diagrams d1, d2 of l1, l2, or None where the
+    corpus has none: every pair of phi0 lattices with n <= 4, every pair of
+    equal size with n = 5, seeded random phi0 and intersection lattice pairs
+    with 5 <= n <= 12, and every pair of B2, M3, N5, the boolean lattice
+    2^4 and the chains of length 0..4."""
+    small = [grid.phi0(Permutation(images)) for n in range(5)
+             for images in itertools.permutations(range(1, n + 1))]
+    for d1, d2 in itertools.product(small, repeat=2):
+        yield d1.lattice, d2.lattice, d1, d2
+    five = [grid.phi0(Permutation(images)) for images in itertools.permutations(range(1, 6))]
+    for d1, d2 in itertools.combinations(five, 2):
+        if d1.lattice.size == d2.lattice.size:
+            yield d1.lattice, d2.lattice, d1, d2
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(5, 12)
+        p, q = (Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+        dp, dq = grid.phi0(p), grid.phi0(q)
+        cp, cq = (groups.csl_dual_diagram(groups.csl_build(groups.first_primes(n), r))
+                  for r in (p, q))
+        for d1, d2 in ((dp, grid.phi0(p.inverse())), (dp, dq), (dp, cp), (cp, cq)):
+            yield d1.lattice, d2.lattice, d1, d2
+    fixtures = [(B2, BorderedDiagram(B2, (0, 1, 3), (0, 2, 3))), (M3, None), (N5, None),
+                (boolean_lattice(4), None)]
+    fixtures += [(lattice.chain(k), BorderedDiagram(lattice.chain(k), tuple(range(k + 1)),
+                                                    tuple(range(k + 1)))) for k in range(5)]
+    for (l1, d1), (l2, d2) in itertools.product(fixtures, repeat=2):
+        yield l1, l2, d1, d2
+
+
+def joint_partition(colours):
+    """The colour classes of both sides together, numbered by first occurrence."""
+    canon: dict = {}
+    return tuple(canon.setdefault(c, len(canon)) for c in itertools.chain(*colours))
+
+
+class TestJointRefinement:
+    def test_sweeps_match_rounds(self):
+        for l1, l2, _, _ in refinement_corpus():
+            rounds = oracles.joint_refinement_by_rounds(l1, l2)
+            sweeps = lattice._joint_refinement(l1, l2)
+            if rounds is not None and Counter(rounds[0]) == Counter(rounds[1]):
+                assert sweeps is not None
+                assert joint_partition(sweeps) == joint_partition(rounds)
+            else:
+                # rounds can stop with the sides' class sizes apart; the
+                # sweeps then refuse, and neither search finds a map
+                assert sweeps is None
+
+    def test_searches_unchanged_with_rounds(self, monkeypatch):
+        corpus = list(refinement_corpus())
+        distinct = list({id(lat): lat for l1, l2, _, _ in corpus for lat in (l1, l2)}.values())
+
+        def answers():
+            out = [lattice.find_isomorphism(l1, l2) for l1, l2, _, _ in corpus]
+            # a copy each time, as automorphisms are cached on the lattice
+            out += [lattice.automorphisms(FiniteLattice(lat.size, lat.covers))
+                    for lat in distinct]
+            out += [lattice.boundarily_similar(d1, d2) for _, _, d1, d2 in corpus
+                    if d1 is not None and d2 is not None]
+            return out
+
+        sweeps = answers()
+        monkeypatch.setattr(lattice, "_joint_refinement", oracles.joint_refinement_by_rounds)
+        assert answers() == sweeps
 
 
 class TestIntervalAndChains:
