@@ -37,8 +37,8 @@ import itertools
 import math
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _cached,
-                             _two_colouring, covering_squares, is_semimodular,
-                             is_slim, narrows)
+                             _join_irreducible_colouring, covering_squares,
+                             is_semimodular, is_slim, narrows)
 from slimlat.perm import Permutation, _Frozen, is_involution_on
 
 Edge = tuple[int, int]
@@ -85,11 +85,17 @@ class Trajectory(_Frozen):
     __slots__ = ("edges",)
 
 
+def _require_semimodular(lattice: FiniteLattice) -> None:
+    # enough for a diagram: BorderedDiagram puts every join-irreducible on
+    # one of two chains, so its lattice is slim
+    if not is_semimodular(lattice):
+        raise NotSlimSemimodular("lattice is not semimodular")
+
+
 def _require_slim_semimodular(lattice: FiniteLattice) -> None:
     if not is_slim(lattice):
         raise NotSlimSemimodular("lattice is not slim")
-    if not is_semimodular(lattice):
-        raise NotSlimSemimodular("lattice is not semimodular")
+    _require_semimodular(lattice)
 
 
 def _opposite_edges(lattice: FiniteLattice) -> dict[Edge, tuple[Edge, ...]]:
@@ -128,14 +134,15 @@ def _walk(adj: dict[Edge, tuple[Edge, ...]], start: Edge) -> tuple[Edge, ...]:
 
 def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
     """The walk starting at the i-th left-chain edge (1-based)."""
-    _require_slim_semimodular(diagram.lattice)
+    _require_semimodular(diagram.lattice)
     return Trajectory(_walk(_opposite_edges(diagram.lattice),
                             (diagram.left_chain[i - 1], diagram.left_chain[i])))
 
 
 def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
-    """Extraction by trajectories."""
-    _require_slim_semimodular(diagram.lattice)
+    """Extraction by trajectories.  Tests semimodularity only: the lattice of
+    a bordered diagram is slim by construction."""
+    _require_semimodular(diagram.lattice)
     adj = _opposite_edges(diagram.lattice)
     left, right = diagram.left_chain, diagram.right_chain
     left_index = {(left[k - 1], left[k]): k for k in range(1, len(left))}
@@ -153,8 +160,9 @@ def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
 
 
 def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
-    """Extraction by meet-irreducible witnesses."""
-    _require_slim_semimodular(diagram.lattice)
+    """Extraction by meet-irreducible witnesses.  Tests semimodularity only:
+    the lattice of a bordered diagram is slim by construction."""
+    _require_semimodular(diagram.lattice)
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     up, down, height = lattice.up, lattice.down, lattice.height
     images = []
@@ -179,8 +187,10 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
 
 
 def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
-    """Extraction through the join map from the grid onto the lattice."""
-    _require_slim_semimodular(diagram.lattice)
+    """Extraction through the join map from the grid onto the lattice.  Tests
+    semimodularity only: the lattice of a bordered diagram is slim by
+    construction."""
+    _require_semimodular(diagram.lattice)
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     n = diagram.n
     join = lattice.join
@@ -225,19 +235,26 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
 
     The join-irreducibles in (lo, hi] split into two chains, one per colour
     class of their incomparability graph; the class of the atom with the
-    smaller id gives the smaller chain.  The walk from lo through one class
-    to hi is forced: two upper covers of the current element below the next
-    target would both be its join with a member of the other chain, hence
+    smaller id gives the smaller chain.  The classes come from the lattice's
+    one cached 2-colouring of all its join-irreducibles (see is_slim): a
+    narrow lies between two join-irreducibles of different components, so
+    they are comparable, and the colouring restricted to a component is its
+    own, unique up to swapping the colours when the component's graph is
+    connected.  A member joins the chain of the component's first member iff
+    their colours are equal.  The walk from lo through one class to hi is
+    forced: two upper covers of the current element below the next target
+    would both be its join with a member of the other chain, hence
     comparable, hence equal.
     """
     # lo is a narrow, so no lower cover of an element above lo lies outside
     # [lo, hi], and these are the join-irreducibles of the interval
     ji = [x for x in lattice.interval(lo, hi)[1:] if len(lattice.covers_down[x]) == 1]
-    colour = _two_colouring(lattice, ji)
+    colour = _join_irreducible_colouring(lattice)
     if colour is None:
         raise NotSlimSemimodular(
             f"join-irreducibles of [{lo}, {hi}] are not two chains")
-    if max(colour.values()) > 1:
+    first = colour[ji[0]]
+    if any(colour[x] >> 1 != first >> 1 for x in ji):
         raise RuntimeError(
             f"component [{lo}, {hi}] has more than one boundary chain pair")
 
@@ -252,8 +269,8 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
                 out.append(steps[0])
         return tuple(out)
 
-    return (walk([x for x in ji if colour[x] == 0]),
-            walk([x for x in ji if colour[x] == 1]))
+    return (walk([x for x in ji if colour[x] == first]),
+            walk([x for x in ji if colour[x] != first]))
 
 
 def _assemble(lattice: FiniteLattice, pairs) -> BorderedDiagram:

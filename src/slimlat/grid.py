@@ -253,8 +253,8 @@ def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]
             keys[e] = ci * side + cj
             e -= 1
         above_i, above_j = row_i, row_j
-    canon = {key: lab for lab, key in enumerate(dict.fromkeys(keys))}
-    return tuple(map(canon.__getitem__, keys))
+    canon: dict[int, int] = {}
+    return tuple([canon.setdefault(key, len(canon)) for key in keys])
 
 
 def congruence_closure(grid: Grid, pairs: Iterable[tuple[Coord, Coord]]
@@ -291,39 +291,26 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
 
 @lru_cache(maxsize=1024)
 def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
-    # plain union-find over the collapsed prime intervals; blocks of a
-    # join-congruence are convex and join-closed, so its collapsed covering
-    # pairs already generate it as an equivalence
+    # one downward sweep over the flat indices: a block is convex and holds
+    # its top, so an element with no collapsed upper edge is its block's top,
+    # and any other one shares the top of the element across such an edge.
+    # keys[e] is the flat index of e's block top.
     side = n + 1
-    size = side * side
-    parent = list(range(size))
-
-    def merge(x: int, y: int) -> None:
-        # the smaller root wins, so every root is its block's first element
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-
     inv = [0] * n
     for i, v in enumerate(images, start=1):
         inv[v - 1] = i
-        # c-direction edges ((i-1, j), (i, j)) with j >= pi(i)
-        for e in range(i * side + v, (i + 1) * side):
-            merge(e - side, e)
-    for j, i in enumerate(inv, start=1):
-        # d-direction edges ((i, j-1), (i, j)) with i >= pi^-1(j)
-        for e in range(i * side + j, size, side):
-            merge(e - 1, e)
-    # parents point downward, so one upward sweep leaves every root in place
-    for e in range(size):
-        parent[e] = parent[parent[e]]
-    canon = {root: lab for lab, root in enumerate(dict.fromkeys(parent))}
-    return tuple(map(canon.__getitem__, parent))
+    keys = list(range(side * side))
+    for i in range(n, -1, -1):
+        row = i * side
+        # c-direction edges ((i, j), (i+1, j)) with j >= pi(i+1); none in the top row
+        v = images[i] if i < n else side
+        keys[row + v:row + side] = keys[row + side + v:row + 2 * side]
+        # d-direction edges ((i, j), (i, j+1)) with i >= pi^-1(j+1)
+        for j in range(min(v, n) - 1, -1, -1):
+            if inv[j] <= i:
+                keys[row + j] = keys[row + j + 1]
+    canon: dict[int, int] = {}
+    return tuple([canon.setdefault(key, len(canon)) for key in keys])
 
 
 def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None

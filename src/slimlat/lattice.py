@@ -380,12 +380,18 @@ def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
     return colour
 
 
+def _join_irreducible_colouring(lattice: FiniteLattice) -> dict[int, int] | None:
+    """_two_colouring of the join-irreducibles in ascending order (cached)."""
+    return _cached(lattice, "ji_colouring",
+                   lambda: _two_colouring(lattice, join_irreducibles(lattice)))
+
+
 def is_slim(lattice: FiniteLattice) -> bool:
     """True iff the join-irreducibles contain no three-element antichain
     (equivalently, they are a union of two chains), by one 2-colouring of
-    their incomparability graph."""
-    return _cached(lattice, "slim",
-                   lambda: _two_colouring(lattice, join_irreducibles(lattice)) is not None)
+    their incomparability graph.  The colouring is cached on the lattice,
+    and extract reads each glued-sum component's boundary chains off it."""
+    return _join_irreducible_colouring(lattice) is not None
 
 
 def is_dually_slim(lattice: FiniteLattice) -> bool:
@@ -505,11 +511,18 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
 def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
                          pinned: dict[int, int] | None = None,
                          limit: int | None = 1) -> Iterator[tuple[int, ...]]:
-    """Backtracking search for order isomorphisms l1 -> l2.
+    """Order isomorphisms l1 -> l2 that preserve the joint refinement's
+    colours and the pinned pairs.
 
-    Elements are assigned in height order, so when x is placed all its lower
-    covers are already mapped; matching them bijectively onto the candidate's
-    lower covers is exactly cover preservation in both directions.
+    When every colour class is a singleton, the one colour-preserving
+    bijection is the only candidate: it is built directly and is an
+    isomorphism iff the two lattices have equal numbers of covers and it
+    maps every cover of l1 to a cover of l2, an O(|covers|) check made here
+    whatever the refinement returned.  Otherwise a backtracking search
+    assigns elements in height order, so when x is placed all its lower
+    covers are already mapped; matching them bijectively onto the
+    candidate's lower covers is exactly cover preservation in both
+    directions.  Both routes yield the same maps in the same order.
     """
     if l1.size != l2.size or sorted(l1.height) != sorted(l2.height):
         return
@@ -521,6 +534,15 @@ def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
         for x, y in pinned.items():
             if c1[x] != c2[y]:
                 return
+    if len(set(c1)) == l1.size:
+        # a pinned x has the one y of its colour, checked above
+        image = dict(zip(c2, range(l2.size)))
+        mapping = tuple([image.get(c, -1) for c in c1])
+        covers = l2.covers
+        if (-1 not in mapping and len(l1.covers) == len(covers)
+                and all((mapping[a], mapping[b]) in covers for a, b in l1.covers)):
+            yield mapping
+        return
 
     class_size = Counter(c1)
     members: dict[int, list[int]] = {}

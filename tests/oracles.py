@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+from slimlat import lattice as _lattice
 from slimlat.grid import Grid
 from slimlat.lattice import (automorphisms, dual, interval_sublattice, is_slim,
                              join_irreducibles, narrows)
@@ -297,6 +298,82 @@ def chain_pair_by_search(lattice, lo, hi):
     return pairs[0]
 
 
+def chain_pair_by_component_colouring(lattice, lo, hi):
+    """The boundary chain pair of the component [lo, hi], from a 2-colouring
+    of its own join-irreducibles: breadth-first from the atom with the
+    smallest id, which takes colour 0, over pairs that lattice.comparable
+    calls incomparable.  Each colour class lies on exactly one maximal chain
+    from lo to hi; the pair is (chain of class 0, chain of class 1), and
+    both are the one chain when hi covers lo.  Raises RuntimeError when the
+    join-irreducibles are not two chains or their graph is disconnected."""
+    sub, elems = interval_sublattice(lattice, lo, hi)
+    ji = sorted((elems[x] for x in join_irreducibles(sub)),
+                key=lambda x: (lattice.height[x], x))
+    colour = {ji[0]: 0}
+    queue = [ji[0]]
+    for x in queue:
+        for y in ji:
+            if lattice.comparable(x, y):
+                continue
+            if y not in colour:
+                colour[y] = 1 - colour[x]
+                queue.append(y)
+            elif colour[y] == colour[x]:
+                raise RuntimeError(f"join-irreducibles of [{lo}, {hi}] are not two chains")
+    if len(colour) != len(ji):
+        raise RuntimeError(f"component [{lo}, {hi}] has more than one boundary chain pair")
+    chains = maximal_chains(lattice, lo, hi)
+    pair = []
+    for c in (0, 1):
+        members = {x for x in ji if colour[x] == c}
+        through = [ch for ch in chains if members <= set(ch)]
+        if len(through) != 1:
+            raise RuntimeError(f"{len(through)} chains of [{lo}, {hi}] carry colour {c}")
+        pair.append(through[0])
+    return tuple(pair)
+
+
+def isomorphisms_by_backtracking(l1, l2, pinned=None, limit=1):
+    """Order isomorphisms l1 -> l2 by backtracking over the classes of
+    lattice._joint_refinement, singleton classes included: elements in
+    order of (height, class size, id), each tried against the members of
+    its class (or its pinned image) in ascending order, and kept when its
+    lower covers map onto lower covers of the candidate."""
+    if l1.size != l2.size or sorted(l1.height) != sorted(l2.height):
+        return
+    refined = _lattice._joint_refinement(l1, l2)
+    if refined is None:
+        return
+    c1, c2 = refined
+    pinned = pinned or {}
+    if any(c1[x] != c2[y] for x, y in pinned.items()):
+        return
+    order = sorted(range(l1.size), key=lambda x: (l1.height[x], c1.count(c1[x]), x))
+    candidates = [[pinned[x]] if x in pinned else [y for y in range(l2.size) if c2[y] == c1[x]]
+                  for x in order]
+    mapping = [-1] * l1.size
+    used = [False] * l2.size
+    found = 0
+
+    def place(k):
+        nonlocal found
+        if k == len(order):
+            found += 1
+            yield tuple(mapping)
+            return
+        x = order[k]
+        for y in candidates[k]:
+            if used[y] or any((mapping[u], y) not in l2.covers for u in l1.covers_down[x]):
+                continue
+            mapping[x], used[y] = y, True
+            yield from place(k + 1)
+            mapping[x], used[y] = -1, False
+            if limit is not None and found >= limit:
+                return
+
+    yield from place(0)
+
+
 def diagram_chains_by_automorphisms(lattice):
     """(left_chain, right_chain) of every diagram of a slim semimodular
     lattice up to boundary similarity: all 2^k orientations of the searched
@@ -324,19 +401,21 @@ def diagram_chains_by_automorphisms(lattice):
 
 
 def naive_divisor_covers(divisors, reverse):
-    """Covers of a set of integers under divisibility (reversed on request)
-    by the triple loop: x below y with no third element strictly between."""
+    """Covers of a set of integers under divisibility (reversed on request),
+    straight from the definition: the minimal strict upper bounds of x are
+    its strict multiples (divisors) that are no strict multiple (divisor)
+    of another one."""
     def leq(a, b):
         return a % b == 0 if reverse else b % a == 0
 
     m = len(divisors)
-    return frozenset(
-        (x, y)
-        for x in range(m)
-        for y in range(m)
-        if x != y and leq(divisors[x], divisors[y])
-        and not any(z != x and z != y and leq(divisors[x], divisors[z])
-                    and leq(divisors[z], divisors[y]) for z in range(m)))
+    above = [{y for y in range(m) if y != x and leq(divisors[x], divisors[y])}
+             for x in range(m)]
+    covers = set()
+    for x in range(m):
+        between = set().union(*(above[z] for z in above[x]))
+        covers.update((x, y) for y in above[x] - between)
+    return frozenset(covers)
 
 
 def trial_division_is_prime(p):

@@ -26,6 +26,15 @@ def random_perm(rng, n):
     return Permutation(tuple(images))
 
 
+def random_block_sum(rng, n):
+    """A direct sum of random permutations of sizes 1..6 adding up to n."""
+    images = []
+    while len(images) < n:
+        block = random_perm(rng, min(rng.randint(1, 6), n - len(images))).images
+        images += [v + len(images) for v in block]
+    return Permutation(tuple(images))
+
+
 def chains_of(diagrams):
     return [(d.left_chain, d.right_chain) for d in diagrams]
 
@@ -204,6 +213,28 @@ class TestDiagramsOf:
         # automorphism swaps its boundary chains, so there is one diagram
         pi = Permutation(tuple(k + (1 if k % 2 else -1) for k in range(1, 41)))
         assert extract.diagram_count(grid.phi0(pi).lattice) == 1
+
+    def test_chain_pairs_match_per_component_colouring(self):
+        lattices = [grid.phi0(pi).lattice for n in range(0, 7) for pi in all_perms(n)]
+        rng = random.Random(13)
+        for n in range(4, 25):
+            lattices.append(grid.phi0(random_block_sum(rng, n)).lattice)
+        # phi0 numbers elements upward; shuffled ids start the colouring's
+        # components elsewhere
+        for lat in lattices[-21:] + [lat for lat in lattices if lat.length == 5]:
+            ids = list(range(lat.size))
+            rng.shuffle(ids)
+            lattices.append(FiniteLattice(lat.size, [(ids[a], ids[b]) for a, b in lat.covers]))
+        # two-chain components above the lowest one, where the shared colouring
+        # need not use the colours 0 and 1
+        later_two_chain = 0
+        for lat in lattices:
+            nar = lattice.narrows(lat)
+            for lo, hi in zip(nar, nar[1:]):
+                u, v = extract._component_chain_pair(lat, lo, hi)
+                assert (u, v) == oracles.chain_pair_by_component_colouring(lat, lo, hi)
+                later_two_chain += u != v and lo != lat.bottom
+        assert later_two_chain > 200
 
     def test_chain_pair_rejects_three_incomparable_join_irreducibles(self):
         with pytest.raises(extract.NotSlimSemimodular, match="two chains"):

@@ -154,6 +154,16 @@ class TestClosure:
                          for x, y in oracles.cell_generators(GridCell(i, j))]
                 assert grid._closure_labels(n, pairs) == grid._formula_labels(n, pi.images)
 
+    def test_closure_labels_match_formula_up_to_n96(self):
+        rng = random.Random(96)
+        for n in [7] * 20 + list(range(8, 97, 4)):
+            g = Grid(n)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            pairs = [(g.index(x), g.index(y)) for i, j in enumerate(images, start=1)
+                     for x, y in oracles.cell_generators(GridCell(i, j))]
+            assert grid._closure_labels(n, pairs) == grid._formula_labels(n, tuple(images))
+
     def test_closure_is_join_compatible(self):
         rng = random.Random(5)
         for n in (2, 3):

@@ -362,6 +362,70 @@ class TestJointRefinement:
         assert answers() == sweeps
 
 
+def boundary_pins(d1, d2):
+    """boundarily_similar's pinned pairs, or None when the chains conflict."""
+    if len(d1.left_chain) != len(d2.left_chain):
+        return None
+    pinned: dict[int, int] = {}
+    for x, y in itertools.chain(zip(d1.left_chain, d2.left_chain),
+                                zip(d1.right_chain, d2.right_chain)):
+        if pinned.setdefault(x, y) != y:
+            return None
+    return pinned
+
+
+class TestSingletonShortcut:
+    def test_witnesses_match_backtracking(self):
+        singleton = 0
+        for l1, l2, d1, d2 in refinement_corpus():
+            refined = lattice._joint_refinement(l1, l2)
+            if refined is not None and len(set(refined[0])) == l1.size:
+                singleton += 1
+            expected = next(oracles.isomorphisms_by_backtracking(l1, l2), None)
+            assert lattice.find_isomorphism(l1, l2) == expected
+            if d1 is not None and d2 is not None:
+                pinned = boundary_pins(d1, d2)
+                expected = pinned is not None and any(
+                    oracles.isomorphisms_by_backtracking(l1, l2, pinned=pinned))
+                assert lattice.boundarily_similar(d1, d2) == expected
+        assert singleton > 100  # 134 pairs take the singleton route
+
+    def test_automorphisms_match_backtracking(self):
+        corpus = list(refinement_corpus())
+        for lat in {id(lat): lat for l1, l2, _, _ in corpus for lat in (l1, l2)}.values():
+            copy = FiniteLattice(lat.size, lat.covers)  # automorphisms are cached
+            assert lattice.automorphisms(copy) == tuple(
+                oracles.isomorphisms_by_backtracking(lat, lat, limit=None))
+
+    def test_stub_singletons_on_non_isomorphic_lattices_yield_nothing(self, monkeypatch):
+        # B2 with a top added: the heights of N5, and not isomorphic to it
+        b2_top = FiniteLattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        monkeypatch.setattr(lattice, "_joint_refinement",
+                            lambda l1, l2: (list(range(l1.size)), list(range(l2.size))))
+        assert lattice.find_isomorphism(N5, b2_top) is None
+        assert lattice.find_isomorphism(b2_top, N5) is None
+        # the identity maps every cover of the first onto a cover of the
+        # second, and only the cover counts tell the two apart
+        hexagon = FiniteLattice(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)])
+        braced = FiniteLattice(6, sorted(hexagon.covers | {(1, 4)}))
+        assert lattice.find_isomorphism(hexagon, braced) is None
+        assert lattice.find_isomorphism(braced, hexagon) is None
+        assert lattice.find_isomorphism(B2, B2) == (0, 1, 2, 3)
+        d = BorderedDiagram(B2, (0, 1, 3), (0, 2, 3))
+        assert not lattice.boundarily_similar(d, d.reflected())
+
+    def test_stub_colours_decide_the_one_candidate(self, monkeypatch):
+        stubs = {"swap atoms": [0, 2, 1, 3], "bottom to top": [3, 1, 2, 0],
+                 "foreign colours": [4, 5, 6, 7]}
+        found = {}
+        for name, c2 in stubs.items():
+            monkeypatch.setattr(lattice, "_joint_refinement",
+                                lambda l1, l2, c2=c2: ([0, 1, 2, 3], list(c2)))
+            found[name] = lattice.find_isomorphism(B2, B2)
+        assert found == {"swap atoms": (0, 2, 1, 3), "bottom to top": None,
+                         "foreign colours": None}
+
+
 class TestIntervalAndChains:
     def test_interval_sublattice(self):
         sub, elems = lattice.interval_sublattice(N5, 0, 2)
@@ -391,6 +455,25 @@ class TestBorderedDiagram:
     def test_join_irreducibles_must_be_covered(self):
         with pytest.raises(lattice.InvalidDiagram):
             BorderedDiagram(B2, (0, 1, 3), (0, 1, 3))
+
+    @pytest.mark.parametrize("name", ["M3", "2^3", "N5 with a third atom",
+                                      "N5 with a second long side"])
+    def test_no_diagram_of_a_non_slim_lattice(self, name):
+        # the extractors test semimodularity only, as a diagram's lattice is slim
+        lat = {"M3": M3, "2^3": boolean_lattice(3),
+               # 0 < a < c < 1 as in N5, with b and d atoms below 1
+               "N5 with a third atom": FiniteLattice(
+                   6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 5), (0, 4), (4, 5)]),
+               # 0 < a < c < 1 and 0 < b < d < 1, with the atom e below 1
+               "N5 with a second long side": FiniteLattice(
+                   7, [(0, 1), (1, 2), (2, 6), (0, 3), (3, 4), (4, 6), (0, 5), (5, 6)]),
+               }[name]
+        assert not lattice.is_slim(lat)
+        chains = oracles.maximal_chains(lat, lat.bottom, lat.top)
+        assert len(chains) >= 3
+        for left, right in itertools.product(chains, repeat=2):
+            with pytest.raises(lattice.InvalidDiagram, match="not on either chain"):
+                BorderedDiagram(lat, left, right)
 
     def test_chain_intersection_is_narrows(self):
         for images in itertools.permutations((1, 2, 3, 4)):
