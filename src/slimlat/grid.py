@@ -313,19 +313,16 @@ def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([canon.setdefault(key, len(canon)) for key in keys])
 
 
-def beta_from_perm(grid: Grid, pi: Permutation, check: bool | None = None
-                   ) -> GridCongruence:
+def beta_from_perm(grid: Grid, pi: Permutation, check: bool = True) -> GridCongruence:
     """The join of the 4-cell congruences at (i, pi(i)), built by closure.
 
-    With check (default: on unless running with -O) the result is compared
-    against the closed-form route; a mismatch means a closure bug.
+    With check (the default) the result is compared against the closed-form
+    route and a mismatch, which means a closure bug, raises RuntimeError.
     """
     if pi.n != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
     kappa = GridCongruence(grid.n, _closure_labels(
         grid.n, _cell_pairs(grid.n, enumerate(pi.images, start=1))))
-    if check is None:
-        check = __debug__
     if check and kappa.labels != _formula_labels(grid.n, pi.images):
         raise RuntimeError(f"closure and closed-form congruences differ for {pi.images}")
     return kappa
@@ -486,7 +483,7 @@ def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
             bit = rest & -rest
             covers_up[x].append(bit.bit_length() - 1)
             rest ^= bit
-    lattice = FiniteLattice._from_closed_blocks(covers_up, above, order)
+    lattice = FiniteLattice._from_covers_up(covers_up, order)
     return lattice, tuple(zip(top_i, top_j))
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from slimlat.lattice import BorderedDiagram, FiniteLattice
+from slimlat.lattice import BorderedDiagram, FiniteLattice, dual
 from slimlat.perm import LengthMismatch, Permutation, _Frozen
 
 _ORDER_CAP = 2 ** 63  # keep orders inside 64-bit machine integers
@@ -148,37 +148,38 @@ def csl_build(primes: Sequence[int], pi: Permutation) -> CyclicCslInstance:
 
 def csl_lattice(inst: CyclicCslInstance) -> FiniteLattice:
     """The intersections ordered by divisibility; element k is inst.elements[k]."""
-    return _intersection_lattice(inst, reverse=False)
+    return dual(_intersection_lattice(inst))
 
 
 def csl_dual_diagram(inst: CyclicCslInstance) -> BorderedDiagram:
     """The order-reversed intersection lattice, bordered by the reversed
     H chain on the left and the reversed K chain on the right."""
-    lattice = _intersection_lattice(inst, reverse=True)
+    lattice = _intersection_lattice(inst)
     index = {d: k for k, d in enumerate(inst.elements)}
     left = tuple(index[d] for d in reversed(inst.h_orders))
     right = tuple(index[d] for d in reversed(inst.k_orders))
     return BorderedDiagram(lattice, left, right)
 
 
-def _intersection_lattice(inst: CyclicCslInstance, reverse: bool) -> FiniteLattice:
-    """The intersections gcd(H_i, K_j) ordered by divisibility (reversed on
-    request); element k is inst.elements[k].
+def _intersection_lattice(inst: CyclicCslInstance) -> FiniteLattice:
+    """The intersections gcd(H_i, K_j) ordered by reversed divisibility, so
+    the whole group is the bottom; element k is inst.elements[k].
 
     The pairs (i, j) with gcd(H_i, K_j) = d are closed under coordinatewise
     minima, so row-major order meets d first at its least pair (i, j).  A
     strict divisor of d in the set is gcd(H_i', K_j') with i' < i or
     j' < j, so it divides gcd(H_{i-1}, K_j) or gcd(H_i, K_{j-1}).  As (i, j)
     is least, these are d/p and d/q for the primes p = H_i/H_{i-1} and
-    q = K_j/K_{j-1}, so they are the lower covers of d: one when p = q, two
-    incomparable ones otherwise.  The order is a lattice by construction,
-    so it is built without validation.  Cost: O(n^2) gcds and mask unions.
+    q = K_j/K_{j-1}, so they are the lower divisibility covers of d, and
+    its upper covers in the reversed order: one when p = q, two
+    incomparable ones otherwise.  The elements from the largest number down
+    are a linear extension of the reversed order.  The order is a lattice by
+    construction, so it is built without validation.  Cost: O(n^2) gcds.
     """
     elements = inst.elements
     index = {d: k for k, d in enumerate(elements)}
     m = len(elements)
     lower: list[tuple[int, ...]] = [()] * m  # lower divisibility covers
-    below = [0] * m  # strict divisors, as a bitmask
     seen = [False] * m
     seen[0] = True  # 1, met first at (0, 0)
     row = [0] * len(inst.k_orders)
@@ -192,19 +193,7 @@ def _intersection_lattice(inst: CyclicCslInstance, reverse: bool) -> FiniteLatti
             seen[x] = True
             a, b = prev[j], row[j - 1]
             lower[x] = (a,) if a == b else (min(a, b), max(a, b))
-            below[x] = below[a] | below[b] | 1 << a | 1 << b
-    if reverse:
-        # the strict divisors lie above, and numerically larger elements first
-        return FiniteLattice._from_closed_blocks(lower, below, range(m - 1, -1, -1))
-    upper: list[list[int]] = [[] for _ in range(m)]
-    for y in range(m):
-        for x in lower[y]:
-            upper[x].append(y)
-    above = [0] * m
-    for x in range(m - 1, -1, -1):
-        for y in upper[x]:
-            above[x] |= above[y] | 1 << y
-    return FiniteLattice._from_closed_blocks(upper, above, range(m))
+    return FiniteLattice._from_covers_up(lower, range(m - 1, -1, -1))
 
 
 def jordan_holder_permutation(inst: CyclicCslInstance) -> Permutation:

@@ -34,6 +34,13 @@ from slimlat.perm import _Frozen
 # elements, and extract on it takes 15 s and 30 MB of peak RSS on a 2-vCPU
 # VM, nearly all of it in that check.
 JSON_SIZE_CAP = 5000
+# The largest lattice size find_isomorphism and is_isomorphic accept.  On a
+# 2-vCPU VM they take 0.1-2 ms against a relabelled copy of a phi0 lattice of
+# 182 or 191 elements, the 200-chain, M_198, 2^7 or the 14 x 14 grid.  The
+# search stays exponential where refinement splits nothing: on two random
+# 28-element incidence lattices of 13 points and 13 lines (3 points on each
+# line, 3 lines through each point) it ran over 120 s.
+ISOMORPHISM_CAP = 200
 
 
 class Cyclic(ValueError):
@@ -63,7 +70,8 @@ class InvalidDiagram(ValueError):
 class FiniteLattice:
     """An immutable finite lattice with eagerly computed order data.
 
-    The up-set and down-set masks, the heights and a linear extension cost
+    _fill builds every lattice from its upper covers and a linear extension:
+    the up-set and down-set masks, the heights and the bounds cost
     O(size + |covers|) operations on size-bit masks, and take O(size^2)
     bits.  Join and meet are computed on demand: a comparable pair answers
     from the order, and an incomparable one with one lowest or highest set
@@ -72,7 +80,8 @@ class FiniteLattice:
 
     The constructor validates its input: the covers must be the transitive
     reduction of a bounded order, and one such bit search per incomparable
-    pair checks that every pair has a join and a meet.
+    pair checks that every pair has a join and a meet.  _from_covers_up
+    builds the lattices known to be lattices by construction without it.
     """
 
     __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
@@ -90,119 +99,94 @@ class FiniteLattice:
             if a == b:
                 raise Cyclic(f"self-loop at {a}")
             cover_set.add((a, b))
-        self.size = size
-        self.covers = frozenset(cover_set)
-        ups = [[] for _ in range(size)]
-        downs = [[] for _ in range(size)]
+        ups: list[list[int]] = [[] for _ in range(size)]
+        indeg = [0] * size
         for a, b in sorted(cover_set):  # fills every list in ascending order
             ups[a].append(b)
-            downs[b].append(a)
-        self.covers_up = tuple(map(tuple, ups))
-        self.covers_down = tuple(map(tuple, downs))
-
-        order = self._topological_order()
-        up = [0] * size
-        for x in reversed(order):
-            mask = 1 << x
-            for y in self.covers_up[x]:
-                mask |= up[y]
-            up[x] = mask
-        self._build_cones(order, up)
+            indeg[b] += 1
+        order = []
+        stack = [x for x in range(size) if indeg[x] == 0]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in ups[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    stack.append(y)
+        if len(order) != size:
+            raise Cyclic("cover relation has a cycle")
+        self._fill(ups, order)
         self._check_reduced()
-        self._find_bounds()
+        # a least element is the only source, so every linear extension
+        # starts with it; dually for the greatest
+        full = (1 << size) - 1
+        if self.up[self.bottom] != full or self.down[self.top] != full:
+            raise NotALattice("order must have a least and a greatest element")
         self._check_bounds()
-        self._cache: dict = {}
 
     @classmethod
-    def _from_closed_blocks(cls, covers_up: Sequence[Sequence[int]],
-                            above: Sequence[int], order: Sequence[int]
-                            ) -> "FiniteLattice":
+    def _from_covers_up(cls, covers_up: Sequence[Sequence[int]],
+                        order: Sequence[int]) -> "FiniteLattice":
         """A lattice its caller already knows to be one, without validation.
 
-        Every caller must guarantee what __init__ would check:
-        covers_up[x] lists the upper covers of x in ascending order and the
-        covers are the transitive reduction of a lattice order, above[x] is
-        the mask of the elements strictly above x, and order is a linear
-        extension of the order, so it starts at the bottom and ends at the
-        top.  grid.quotient builds the closed elements of a closure
-        operator, and groups builds the intersections of two chains of
-        divisors; both are lattices by construction.  Cost: that of
-        _build_cones.
+        Every caller must guarantee what __init__ would check: covers_up[x]
+        lists the upper covers of x in ascending order, the covers are the
+        transitive reduction of a lattice order, and order is a linear
+        extension of it, so it starts at the bottom and ends at the top.
+        grid.quotient builds the closed elements of a closure operator,
+        groups the intersections of two chains of divisors, and dual, chain
+        and interval_sublattice take lattices to lattices; all are lattices
+        by construction.  Cost: that of _fill.
         """
         self = cls.__new__(cls)
-        self.size = size = len(order)
-        downs = [[] for _ in range(size)]
-        for x, ys in enumerate(covers_up):
-            for y in ys:
-                downs[y].append(x)  # ascending, as __init__ lists them
-        self.covers = frozenset((x, y) for x, ys in enumerate(covers_up) for y in ys)
-        self.covers_up = tuple(map(tuple, covers_up))
-        self.covers_down = tuple(map(tuple, downs))
-        self._build_cones(order, [mask | 1 << x for x, mask in enumerate(above)])
-        self.bottom = order[0]
-        self.top = order[-1]
-        self._cache = {}
+        self._fill(covers_up, order)
         return self
 
     # -- construction internals -------------------------------------------
 
-    def _topological_order(self) -> list[int]:
-        indeg = [len(self.covers_down[x]) for x in range(self.size)]
-        queue = [x for x in range(self.size) if indeg[x] == 0]
-        order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            for y in self.covers_up[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if len(order) != self.size:
-            raise Cyclic("cover relation has a cycle")
-        return order
-
-    def _build_cones(self, order: Sequence[int], up: list[int]) -> None:
-        """Sets up (given), down and height, and keeps the linear extension
-        order with the up-set and down-set masks that number every element
-        by its position in it."""
-        size = self.size
-        down = [0] * size
-        height = [0] * size
-        up_r = [0] * size
-        down_r = [0] * size
+    def _fill(self, covers_up: Sequence[Sequence[int]], order: Sequence[int]) -> None:
+        """Sets every attribute from the ascending upper cover lists and a
+        linear extension: the cover set and lower cover lists, the cones by
+        id and by position in order, the heights, order[0] as the bottom and
+        order[-1] as the top."""
+        self.size = size = len(order)
+        downs: list[list[int]] = [[] for _ in range(size)]
+        for x, ys in enumerate(covers_up):
+            for y in ys:
+                downs[y].append(x)
+        self.covers = frozenset((x, y) for x, ys in enumerate(covers_up) for y in ys)
+        self.covers_up = covers_up = tuple(map(tuple, covers_up))
+        self.covers_down = tuple(map(tuple, downs))
+        up, down, height, up_r, down_r = ([0] * size for _ in range(5))
         for k, x in enumerate(order):
             mask, ranked, h = 1 << x, 1 << k, 0
-            for y in self.covers_down[x]:
+            for y in downs[x]:
                 mask |= down[y]
                 ranked |= down_r[y]
                 if height[y] >= h:
                     h = height[y] + 1
             down[x], down_r[x], height[x] = mask, ranked, h
         for k in range(size - 1, -1, -1):
-            ranked = 1 << k
-            for y in self.covers_up[order[k]]:
+            x = order[k]
+            mask, ranked = 1 << x, 1 << k
+            for y in covers_up[x]:
+                mask |= up[y]
                 ranked |= up_r[y]
-            up_r[order[k]] = ranked
+            up[x], up_r[x] = mask, ranked
         self.up = tuple(up)
         self.down = tuple(down)
         self.height = tuple(height)
+        self.bottom = order[0]
+        self.top = order[-1]
         self._order = tuple(order)
         self._up_ranked = tuple(up_r)
         self._down_ranked = tuple(down_r)
+        self._cache: dict = {}
 
     def _check_reduced(self) -> None:
         for a, b in self.covers:
             if self.up[a] & self.down[b] != (1 << a) | (1 << b):
                 raise NotReduced(f"cover ({a}, {b}) is a transitive edge")
-
-    def _find_bounds(self) -> None:
-        full = (1 << self.size) - 1
-        bottoms = [x for x in range(self.size) if self.up[x] == full]
-        tops = [x for x in range(self.size) if self.down[x] == full]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise NotALattice("order must have a least and a greatest element")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
 
     def _check_bounds(self) -> None:
         # Every pair has a join iff, for every incomparable pair, the first
@@ -302,7 +286,7 @@ def from_covers(size: int, covers: Iterable[tuple[int, int]]) -> FiniteLattice:
 
 def chain(n: int) -> FiniteLattice:
     """The chain 0 < 1 < ... < n (length n)."""
-    return FiniteLattice(n + 1, [(i, i + 1) for i in range(n)])
+    return FiniteLattice._from_covers_up([(i + 1,) for i in range(n)] + [()], range(n + 1))
 
 
 def _cached(lattice: FiniteLattice, key: str, compute):
@@ -419,7 +403,7 @@ def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
 
 def dual(lattice: FiniteLattice) -> FiniteLattice:
     """The lattice with the reversed order; an involution on the nose."""
-    return FiniteLattice(lattice.size, [(b, a) for a, b in lattice.covers])
+    return FiniteLattice._from_covers_up(lattice.covers_down, lattice._order[::-1])
 
 
 def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, int]]:
@@ -449,15 +433,15 @@ def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
 
     Returns (sub, elems) where elems[k] is the original id of sub element k;
     covers restrict because anything between two interval members lies in
-    the interval.
+    the interval, and the (height, id) order of elems is a linear extension.
     """
     if not lattice.leq(lo, hi):
         raise ValueError(f"{lo} is not below {hi}")
     elems = tuple(lattice.interval(lo, hi))
     index = {x: k for k, x in enumerate(elems)}
-    covers = [(index[a], index[b]) for a, b in lattice.covers
-              if a in index and b in index]
-    return FiniteLattice(len(elems), covers), elems
+    covers_up = [sorted(index[y] for y in lattice.covers_up[x] if y in index)
+                 for x in elems]
+    return FiniteLattice._from_covers_up(covers_up, range(len(elems))), elems
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -473,10 +457,10 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
     its lower covers (upper covers on the way down), through one palette
     shared by both lattices, and stops when two sweeps in a row split no
     class: then every class agrees on the classes of its lower and of its
-    upper covers.  Once every class holds one element of each lattice, the
-    partition is equitable exactly when pairing them is an isomorphism, and
-    otherwise a further sweep would split a class across the two sides, so
-    one pass over the covers decides.  Cost: O(size + |covers|) per sweep.
+    upper covers.  Once every class holds one element of each lattice, no
+    sweep can split a class further, and the colours are returned as they
+    are: pairing them is the one candidate map, which _search_isomorphisms
+    checks against the covers.  Cost: O(size + |covers|) per sweep.
     """
     palette: dict = {}
     lattices = (l1, l2)
@@ -489,13 +473,8 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
         if sorted(c1) != sorted(c2):
             return None
         count = len(set(c1))
-        if count == len(c1):
-            # singletons are equitable iff pairing equal colours is an isomorphism
-            image = dict(zip(c2, range(l2.size)))
-            pairs = ((image[c1[a]], image[c1[b]]) for a, b in l1.covers)
-            return (c1, c2) if all(pair in l2.covers for pair in pairs) else None
         calm = calm + 1 if count == classes else 0
-        if calm == 2:
+        if count == len(c1) or calm == 2:
             return c1, c2
         classes = count
         for k, lat in enumerate(lattices):
@@ -581,18 +560,18 @@ def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
     yield from place(0)
 
 
-def find_isomorphism(l1: FiniteLattice, l2: FiniteLattice,
-                     max_size: int = 200) -> tuple[int, ...] | None:
-    """A witness order isomorphism as a tuple (image of each element), or None."""
-    if max(l1.size, l2.size) > max_size:
-        raise TooLarge(f"size exceeds the isomorphism cap {max_size}")
+def find_isomorphism(l1: FiniteLattice, l2: FiniteLattice) -> tuple[int, ...] | None:
+    """A witness order isomorphism as a tuple (image of each element), or
+    None.  Raises TooLarge above ISOMORPHISM_CAP elements."""
+    if max(l1.size, l2.size) > ISOMORPHISM_CAP:
+        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
     for mapping in _search_isomorphisms(l1, l2, limit=1):
         return mapping
     return None
 
 
-def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice, max_size: int = 200) -> bool:
-    return find_isomorphism(l1, l2, max_size=max_size) is not None
+def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
+    return find_isomorphism(l1, l2) is not None
 
 
 def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:

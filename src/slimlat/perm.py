@@ -375,13 +375,13 @@ def _iter_canonical_images(n: int) -> Iterator[tuple[int, ...]]:
     return filter(_images_canonical, itertools.permutations(range(1, n + 1)))
 
 
-def enumerate_reps(n: int, max_n: int = ENUMERATION_CAP) -> list[Permutation]:
+def enumerate_reps(n: int) -> list[Permutation]:
     """Canonical class representatives in lexicographic order, by filtering
-    all of S_n."""
+    all of S_n.  Raises TooLarge above ENUMERATION_CAP."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds the enumeration cap {max_n}")
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     return [Permutation(images) for images in _iter_canonical_images(n)]
 
 

@@ -230,6 +230,34 @@ def naive_bound_tables(lattice):
     return joins, meets
 
 
+def order_data(lattice):
+    """What a lattice exposes of its order: cones, heights, bounds, cover
+    lists, and the join and meet of every pair."""
+    pairs = list(itertools.product(range(lattice.size), repeat=2))
+    return (lattice.up, lattice.down, lattice.height, lattice.bottom, lattice.top,
+            lattice.covers, lattice.covers_up, lattice.covers_down,
+            [lattice.join(x, y) for x, y in pairs], [lattice.meet(x, y) for x, y in pairs])
+
+
+def bounds_by_scan(size, covers):
+    """The least and the greatest element of an acyclic cover relation, by
+    scanning every element for an up-set (down-set) that holds everything.
+    Raises NotALattice, with FiniteLattice's message, unless both exist."""
+    upper = [[b for a, b in covers if a == x] for x in range(size)]
+    up: dict[int, set[int]] = {}
+
+    def up_set(x):
+        if x not in up:
+            up[x] = {x}.union(*map(up_set, upper[x]))
+        return up[x]
+
+    bottoms = [x for x in range(size) if len(up_set(x)) == size]
+    tops = [x for x in range(size) if all(x in up_set(y) for y in range(size))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise _lattice.NotALattice("order must have a least and a greatest element")
+    return bottoms[0], tops[0]
+
+
 def has_three_antichain(lattice, elems):
     """True iff three of the elements are pairwise incomparable, by the
     cubic scan over pairs and a third element."""

@@ -196,6 +196,16 @@ class TestBeta:
         with pytest.raises(LengthMismatch):
             grid.beta_from_perm(Grid(3), Permutation((2, 1)))
 
+    def test_check_is_on_by_default(self, monkeypatch):
+        # a closure that drops the last generator, whatever the interpreter's -O
+        closure = grid._closure_labels
+        monkeypatch.setattr(grid, "_closure_labels", lambda n, pairs: closure(n, pairs[:-1]))
+        pi = Permutation((2, 3, 1))
+        with pytest.raises(RuntimeError, match="differ"):
+            grid.beta_from_perm(Grid(3), pi)
+        kappa = grid.beta_from_perm(Grid(3), pi, check=False)
+        assert kappa.labels == closure(3, grid._cell_pairs(3, enumerate(pi.images, start=1))[:-1])
+
     @pytest.mark.parametrize("n", range(0, 6))
     def test_formula_route_agrees(self, n):
         g = Grid(n)
