@@ -81,10 +81,6 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _segments_json(pi: Permutation) -> list[list[int]]:
-    return [list(seg) for seg in perm.segments(pi).segments]
-
-
 # -- commands --------------------------------------------------------------------
 
 def cmd_build(args) -> int:
@@ -119,7 +115,7 @@ def cmd_extract(args) -> int:
     _emit({
         "permutation": list(pi.images),
         "cycles": pi.cycle_string(),
-        "segments": _segments_json(pi),
+        "segments": [list(seg) for seg in perm.segments(pi).segments],
         "rho_class_size": perm.class_size(pi),
     })
     _note(f"extracted {pi.cycle_string()} from {args.diagram}")
@@ -335,9 +331,7 @@ def _check_pairwise_iso(scale: int) -> dict:
         lattices = {p: grid.phi0(p).lattice for p in perms}
         for p, q in itertools.combinations_with_replacement(perms, 2):
             total += 1
-            same = lattice.is_isomorphic(lattices[p], lattices[q])
-            if same != perm.rho_equivalent(p, q):
-                bad += 1
+            bad += lattice.is_isomorphic(lattices[p], lattices[q]) != perm.rho_equivalent(p, q)
     return {"name": "pairwise_iso", "scale": scale, "passed": bad == 0,
             "details": f"{total} pairs compared" if bad == 0 else f"{bad} mismatches"}
 
@@ -375,8 +369,7 @@ def _check_diagram_counts(scale: int) -> dict:
             total += 1
             lat = grid.phi0(p).lattice
             expected = len(perm.rho_class(p))
-            if not _searched_diagram_count(lat) == extract.diagram_count(lat) == expected:
-                bad += 1
+            bad += not _searched_diagram_count(lat) == extract.diagram_count(lat) == expected
     return {"name": "diagram_count", "scale": scale, "passed": bad == 0,
             "details": f"{total} lattices counted" if bad == 0 else f"{bad} mismatches"}
 
@@ -390,11 +383,9 @@ def _check_group_realization(scale: int) -> dict:
             total += 1
             inst = groups.csl_build(primes, p)
             diagram = groups.csl_dual_diagram(inst)
-            ok = (extract.extract_permutation(diagram, verify=True) == p
-                  and groups.jordan_holder_permutation(inst) == p
-                  and lattice.is_isomorphic(diagram.lattice, grid.phi0(p).lattice))
-            if not ok:
-                bad += 1
+            bad += not (extract.extract_permutation(diagram, verify=True) == p
+                        and groups.jordan_holder_permutation(inst) == p
+                        and lattice.is_isomorphic(diagram.lattice, grid.phi0(p).lattice))
     return {"name": "group_realization", "scale": scale, "passed": bad == 0,
             "details": f"{total} instances realized" if bad == 0 else f"{bad} failures"}
 
@@ -420,8 +411,7 @@ def _check_random_round_trip(n_max: int, seed: int) -> dict:
             rng.shuffle(images)
             p = Permutation(tuple(images))
             total += 1
-            if extract.extract_permutation(grid.phi0(p), verify=True) != p:
-                bad += 1
+            bad += extract.extract_permutation(grid.phi0(p), verify=True) != p
     return {"name": "random_round_trip", "scale": max(sizes),
             "passed": bad == 0,
             "details": f"{total} random permutations (seed {seed})" if bad == 0

@@ -38,10 +38,9 @@ import math
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _cached,
                              _join_irreducible_colouring, covering_squares,
-                             is_semimodular, is_slim, narrows)
+                             is_semimodular, is_slim, join_irreducibles, narrows)
 from slimlat.perm import Permutation, _Frozen, is_involution_on
 
-Edge = tuple[int, int]
 Chain = tuple[int, ...]
 
 # The most diagrams diagrams_of builds.  The count is a product of per-component
@@ -92,66 +91,67 @@ def _require_semimodular(lattice: FiniteLattice) -> None:
         raise NotSlimSemimodular("lattice is not semimodular")
 
 
-def _require_slim_semimodular(lattice: FiniteLattice) -> None:
-    if not is_slim(lattice):
-        raise NotSlimSemimodular("lattice is not slim")
-    _require_semimodular(lattice)
-
-
-def _opposite_edges(lattice: FiniteLattice) -> dict[Edge, tuple[Edge, ...]]:
+def _opposite_edges(lattice: FiniteLattice) -> dict[int, tuple[int, ...]]:
+    """Opposite edges of covering squares, by the edge id x * size + y of (x, y)."""
     def compute():
-        adj: dict[Edge, tuple[Edge, ...]] = {}
+        size = lattice.size
+        adj: dict[int, tuple[int, ...]] = {}
+        get = adj.get
         for w, a, b, t in covering_squares(lattice):
-            for e, f in (((w, a), (b, t)), ((w, b), (a, t))):
-                adj[e] = adj.get(e, ()) + (f,)
-                adj[f] = adj.get(f, ()) + (e,)
+            for e, f in ((w * size + a, b * size + t), (w * size + b, a * size + t)):
+                adj[e] = get(e, ()) + (f,)
+                adj[f] = get(f, ()) + (e,)
         # planarity of slim lattices: an edge borders at most two squares
-        if any(len(v) > 2 for v in adj.values()):
+        if max(map(len, adj.values()), default=0) > 2:
             raise NotSlimSemimodular("edge in more than two covering squares")
         return adj
     return _cached(lattice, "opposite_edges", compute)
 
 
-def _walk(adj: dict[Edge, tuple[Edge, ...]], start: Edge) -> tuple[Edge, ...]:
+def _walk(adj: dict[int, tuple[int, ...]], start: int, size: int) -> list[int]:
+    """The edge ids met by the walk from start that never steps back.  It
+    revisits none either: the graph has degree at most 2 and the start at
+    most 1, so the neighbours of a vertex are visited just before and just
+    after it, and a first revisit would come from one of them, revisited
+    earlier, or from the one just left, a step back."""
     if len(adj.get(start, ())) > 1:
-        raise TrajectoryAmbiguous(f"left edge {start} borders two squares")
+        raise TrajectoryAmbiguous(f"left edge {divmod(start, size)} borders two squares")
     path = [start]
-    seen = {start}
-    prev: Edge | None = None
-    cur = start
+    prev, cur = -1, start
     while True:
         for nxt in adj.get(cur, ()):
             if nxt != prev:
                 break
         else:
-            return tuple(path)
-        if nxt in seen:
-            raise TrajectoryAmbiguous(f"walk from {start} revisits {nxt}")
+            return path
         path.append(nxt)
-        seen.add(nxt)
         prev, cur = cur, nxt
 
 
 def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
     """The walk starting at the i-th left-chain edge (1-based)."""
-    _require_semimodular(diagram.lattice)
-    return Trajectory(_walk(_opposite_edges(diagram.lattice),
-                            (diagram.left_chain[i - 1], diagram.left_chain[i])))
+    lattice, left = diagram.lattice, diagram.left_chain
+    _require_semimodular(lattice)
+    size = lattice.size
+    path = _walk(_opposite_edges(lattice), left[i - 1] * size + left[i], size)
+    return Trajectory(tuple(divmod(e, size) for e in path))
 
 
 def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
     """Extraction by trajectories.  Tests semimodularity only: the lattice of
     a bordered diagram is slim by construction."""
-    _require_semimodular(diagram.lattice)
-    adj = _opposite_edges(diagram.lattice)
-    left, right = diagram.left_chain, diagram.right_chain
-    left_index = {(left[k - 1], left[k]): k for k in range(1, len(left))}
-    right_index = {(right[k - 1], right[k]): k for k in range(1, len(right))}
+    lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
+    _require_semimodular(lattice)
+    adj = _opposite_edges(lattice)
+    size = lattice.size
+    left_index = {left[k - 1] * size + left[k]: k for k in range(1, len(left))}
+    right_index = {right[k - 1] * size + right[k]: k for k in range(1, len(right))}
     images = []
     for i in range(1, diagram.n + 1):
-        path = _walk(adj, (left[i - 1], left[i]))
-        rights = [right_index[e] for e in path if e in right_index]
-        lefts = [left_index[e] for e in path if e in left_index]
+        path = _walk(adj, left[i - 1] * size + left[i], size)
+        # every index is at least 1
+        rights = [*filter(None, map(right_index.get, path))]
+        lefts = [*filter(None, map(left_index.get, path))]
         if len(rights) != 1 or len(lefts) != 1 or path[-1] not in right_index:
             raise TrajectoryAmbiguous(
                 f"trajectory {i} meets left edges {lefts} and right edges {rights}")
@@ -161,44 +161,49 @@ def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
 
 def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
     """Extraction by meet-irreducible witnesses.  Tests semimodularity only:
-    the lattice of a bordered diagram is slim by construction."""
-    _require_semimodular(diagram.lattice)
-    lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
-    up, down, height = lattice.up, lattice.down, lattice.height
+    the lattice of a bordered diagram is slim by construction.  The down-set
+    of the witness u meets the right chain in a prefix, so j is its size."""
+    lattice, left = diagram.lattice, diagram.left_chain
+    _require_semimodular(lattice)
+    up, down, height, covers_up = lattice.up, lattice.down, lattice.height, lattice.covers_up
+    right_mask = sum(1 << d for d in diagram.right_chain)
     images = []
     for i in range(1, diagram.n + 1):
         mask = up[left[i - 1]] & ~up[left[i]]
-        members = []
-        while mask:
-            bit = mask & -mask
-            members.append(bit.bit_length() - 1)
-            mask ^= bit
-        # a chain iff each member lies below the next one by height
-        members.sort(key=height.__getitem__)
-        for x, y in zip(members, members[1:]):
-            if not down[y] >> x & 1:
+        # a chain iff every member is comparable with every other; then u,
+        # its highest member, is its maximum
+        u, rest = -1, mask
+        while rest:
+            bit = rest & -rest
+            x = bit.bit_length() - 1
+            if mask & ~(up[x] | down[x]):
                 raise UniquenessViolated(f"filter difference at step {i} is not a chain")
-        u = members[-1]
-        if len(lattice.upper_covers(u)) != 1:
+            if u < 0 or height[x] > height[u]:
+                u = x
+            rest ^= bit
+        if len(covers_up[u]) != 1:
             raise UniquenessViolated(f"witness {u} at step {i} is not meet-irreducible")
-        below_u = down[u]
-        images.append(next(j for j, d in enumerate(right) if not below_u >> d & 1))
+        images.append((down[u] & right_mask).bit_count())
     return Permutation(tuple(images))
 
 
 def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
     """Extraction through the join map from the grid onto the lattice.  Tests
     semimodularity only: the lattice of a bordered diagram is slim by
-    construction."""
-    _require_semimodular(diagram.lattice)
+    construction.  The join of x and y, comparable or not, is the first of
+    their common upper bounds in the linear extension: one lowest set bit."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
+    _require_semimodular(lattice)
     n = diagram.n
-    join = lattice.join
-    eta = [[join(c, d) for d in right] for c in left]
+    order, up_ranked = lattice._order, lattice._up_ranked
+    right_up = [up_ranked[d] for d in right]
+    eta = [[order[(m & -m).bit_length() - 1] for m in [up_ranked[c] & up_d for up_d in right_up]]
+           for c in left]
     images = []
     for i in range(1, n + 1):
+        below, row = eta[i - 1], eta[i]
         hits = [j for j in range(1, n + 1)
-                if eta[i - 1][j] == eta[i][j - 1] == eta[i][j] != eta[i - 1][j - 1]]
+                if below[j] == row[j - 1] == row[j] != below[j - 1]]
         if not hits:
             raise SourceCellMissing(f"no source cell in row {i}")
         if len(hits) > 1:
@@ -246,23 +251,28 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
     would both be its join with a member of the other chain, hence
     comparable, hence equal.
     """
-    # lo is a narrow, so no lower cover of an element above lo lies outside
-    # [lo, hi], and these are the join-irreducibles of the interval
-    ji = [x for x in lattice.interval(lo, hi)[1:] if len(lattice.covers_down[x]) == 1]
     colour = _join_irreducible_colouring(lattice)
     if colour is None:
         raise NotSlimSemimodular(
             f"join-irreducibles of [{lo}, {hi}] are not two chains")
+    # lo is a narrow, so no lower cover of an element above lo lies outside
+    # [lo, hi]: these are the interval's join-irreducibles, by (height, id)
+    inside = (lattice.up[lo] ^ 1 << lo) & lattice.down[hi]
+    ji = [x for x in join_irreducibles(lattice) if inside >> x & 1]
+    ji.sort(key=lattice.height.__getitem__)
     first = colour[ji[0]]
     if any(colour[x] >> 1 != first >> 1 for x in ji):
         raise RuntimeError(
             f"component [{lo}, {hi}] has more than one boundary chain pair")
 
+    covers_up, down = lattice.covers_up, lattice.down
+
     def walk(targets: list[int]) -> Chain:
         out = [lo]
         for t in targets + [hi]:
+            below_t = down[t]
             while out[-1] != t:
-                steps = [y for y in lattice.covers_up[out[-1]] if lattice.leq(y, t)]
+                steps = [y for y in covers_up[out[-1]] if below_t >> y & 1]
                 if len(steps) != 1:
                     raise NotSlimSemimodular(
                         f"boundary walk in [{lo}, {hi}] forks at {out[-1]}")
@@ -296,18 +306,15 @@ def _orientation_options(lattice: FiniteLattice) -> list[tuple[tuple[Chain, Chai
     orientations gives every segment: the component between the narrows lo
     and hi owns the positions height(lo) + 1 .. height(hi).
     """
-    _require_slim_semimodular(lattice)
+    if not is_slim(lattice):
+        raise NotSlimSemimodular("lattice is not slim")
+    _require_semimodular(lattice)
     nar = narrows(lattice)
     pairs = [_component_chain_pair(lattice, lo, hi) for lo, hi in zip(nar, nar[1:])]
     pi = pi2_meet_irreducibles(_assemble(lattice, pairs))
     height = lattice.height
-    options = []
-    for (u, v), lo, hi in zip(pairs, nar, nar[1:]):
-        if is_involution_on(pi, height[lo] + 1, height[hi]):
-            options.append(((u, v),))
-        else:
-            options.append(((u, v), (v, u)))
-    return options
+    return [((u, v),) if is_involution_on(pi, height[lo] + 1, height[hi]) else ((u, v), (v, u))
+            for (u, v), lo, hi in zip(pairs, nar, nar[1:])]
 
 
 def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:

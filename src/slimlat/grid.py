@@ -155,7 +155,7 @@ class GridCongruence(_Frozen):
         """True iff the partition is a join-congruence, by the O(n^2) test
         that quotient makes."""
         try:
-            _edge_targets(self.n, self.labels)
+            _join_congruence_tops(self.n, self.labels)
         except ValueError:
             return False
         return True
@@ -409,11 +409,8 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
 
 # -- the quotient construction ---------------------------------------------------
 
-def _edge_targets(n: int, labels: Sequence[int]
-                  ) -> tuple[list[int], list[int], list[int]]:
-    """The top coordinates of each block (as _top_coordinates), and for each
-    block the bitmask of the blocks that an uncollapsed grid edge leads to
-    from it.
+def _join_congruence_tops(n: int, labels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The top coordinates of each block, as _top_coordinates.
 
     Raises ValueError unless the partition is a join-congruence.  It is one
     iff each block contains its top and no uncollapsed edge leads to a block
@@ -428,8 +425,6 @@ def _edge_targets(n: int, labels: Sequence[int]
     for lab, (i, j) in enumerate(zip(top_i, top_j)):
         if labels[i * side + j] != lab:
             raise ValueError("partition is not join-closed; no quotient lattice")
-
-    targets = [0] * len(top_i)
     # the images of the c-direction edges (e, e + side) and, row by row, of
     # the d-direction edges (e, e + 1); most edges share their image
     images = set(zip(labels, labels[side:]))
@@ -437,52 +432,48 @@ def _edge_targets(n: int, labels: Sequence[int]
         row = labels[k:k + side]
         images.update(zip(row, row[1:]))
     for lab, other in images:
-        if lab == other:
-            continue
         if top_i[lab] > top_i[other] or top_j[lab] > top_j[other]:
             raise ValueError("partition is not join-compatible; no quotient lattice")
-        targets[lab] |= 1 << other
-    return top_i, top_j, targets
+    return top_i, top_j
 
 
 def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
     """The quotient lattice of a join-congruence and the top of each block.
 
     Element ids are the canonical block labels, and block X is below block Y
-    iff top(X) <= top(Y).  A grid chain from top(X) up to top(Y) maps onto a
-    chain of images of its prime intervals, so the quotient order is the
-    reflexive-transitive closure of the images (label(a), label(b)) of the
-    uncollapsed grid edges, and its covers are the transitive reduction of
-    those images.  The argument only uses that the quotient map is
-    order-preserving, so it holds for every join-congruence, whether or not
-    it preserves covers.  The block tops are the closed elements of a
-    closure operator, so the quotient is a lattice by construction and is
-    built without FiniteLattice's validation.  Cost: O(n^2) edge images plus
-    one union of block bitmasks per image.
+    iff top(X) <= top(Y).  The upper covers of the block X with top (i, j)
+    are the lower of the blocks A and B of (i + 1, j) and (i, j + 1), or
+    both when their tops are incomparable: a block above X has a top above
+    (i + 1, j) or (i, j + 1), and as a closed element of the closure
+    operator x -> top of its block, that top lies above top(A) or top(B).
+    This holds for every join-congruence, cover-preserving or not.  By the
+    rank i + j of their tops the blocks are a linear extension, and the
+    quotient is a lattice by construction, built without FiniteLattice's
+    validation.  Cost: O(n^2).
 
-    Any other partition raises ValueError (see _edge_targets).
+    Any other partition raises ValueError (see _join_congruence_tops).
     """
-    top_i, top_j, targets = _edge_targets(kappa.n, kappa.labels)
-    nblocks = len(top_i)
-    # a strictly larger block has a top of strictly larger rank i + j, so
-    # taking blocks by decreasing rank finds every strict up-set it needs
+    n, labels = kappa.n, kappa.labels
+    top_i, top_j = _join_congruence_tops(n, labels)
+    side = n + 1
+    covers_up: list[list[int]] = []
+    for i, j in zip(top_i, top_j):
+        ups = []
+        if i < n:
+            ups.append(labels[(i + 1) * side + j])
+        if j < n:
+            ups.append(labels[i * side + j + 1])
+        if len(ups) == 2:
+            a, b = ups
+            if top_i[a] <= top_i[b] and top_j[a] <= top_j[b]:
+                del ups[1]
+            elif top_i[b] <= top_i[a] and top_j[b] <= top_j[a]:
+                del ups[0]
+            else:
+                ups.sort()
+        covers_up.append(ups)
     rank = list(map(int.__add__, top_i, top_j))
-    order = sorted(range(nblocks), key=rank.__getitem__)
-    above = [0] * nblocks
-    covers_up: list[list[int]] = [[] for _ in range(nblocks)]
-    for x in reversed(order):
-        reach = 0
-        rest = targets[x]
-        while rest:
-            bit = rest & -rest
-            reach |= above[bit.bit_length() - 1]
-            rest ^= bit
-        above[x] = targets[x] | reach
-        rest = targets[x] & ~reach
-        while rest:
-            bit = rest & -rest
-            covers_up[x].append(bit.bit_length() - 1)
-            rest ^= bit
+    order = sorted(range(len(top_i)), key=rank.__getitem__)
     lattice = FiniteLattice._from_covers_up(covers_up, order)
     return lattice, tuple(zip(top_i, top_j))
 

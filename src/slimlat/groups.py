@@ -30,6 +30,7 @@ i-th downward step of a series.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -72,10 +73,12 @@ class CyclicCslInstance(_Frozen):
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin with the prime bases 2..37.  The least
-    composite that passes them all exceeds 3 * 10^23 (Sorenson and Webster,
-    2015), so the answer is exact for every p below ``_ORDER_CAP``."""
+    """Deterministic Miller-Rabin with the prime bases 2..37, memoized for
+    csl_build.  The least composite that passes them all exceeds 3 * 10^23
+    (Sorenson and Webster, 2015), so the answer is exact for every p below
+    ``_ORDER_CAP``."""
     if p < 2:
         return False
     for q in _WITNESSES:
@@ -99,7 +102,8 @@ def _is_prime(p: int) -> bool:
 
 
 def first_primes(n: int) -> tuple[int, ...]:
-    """The n smallest primes.
+    """The n smallest primes, by trial division of each candidate by the
+    primes already found, up to its square root.
 
     >>> first_primes(5)
     (2, 3, 5, 7, 11)
@@ -107,7 +111,13 @@ def first_primes(n: int) -> tuple[int, ...]:
     out: list[int] = []
     p = 2
     while len(out) < n:
-        if _is_prime(p):
+        for q in out:
+            if q * q > p:
+                out.append(p)
+                break
+            if p % q == 0:
+                break
+        else:
             out.append(p)
         p += 1
     return tuple(out)
@@ -165,9 +175,10 @@ def _intersection_lattice(inst: CyclicCslInstance) -> FiniteLattice:
     """The intersections gcd(H_i, K_j) ordered by reversed divisibility, so
     the whole group is the bottom; element k is inst.elements[k].
 
-    The pairs (i, j) with gcd(H_i, K_j) = d are closed under coordinatewise
-    minima, so row-major order meets d first at its least pair (i, j).  A
-    strict divisor of d in the set is gcd(H_i', K_j') with i' < i or
+    The values grow with i and with j, and the pairs (i, j) with
+    gcd(H_i, K_j) = d are closed under coordinatewise minima, so (i, j) is
+    the least pair of d iff d differs from the values at (i - 1, j) and
+    (i, j - 1).  A strict divisor of d in the set is gcd(H_i', K_j') with i' < i or
     j' < j, so it divides gcd(H_{i-1}, K_j) or gcd(H_i, K_{j-1}).  As (i, j)
     is least, these are d/p and d/q for the primes p = H_i/H_{i-1} and
     q = K_j/K_{j-1}, so they are the lower divisibility covers of d, and
@@ -180,19 +191,14 @@ def _intersection_lattice(inst: CyclicCslInstance) -> FiniteLattice:
     index = {d: k for k, d in enumerate(elements)}
     m = len(elements)
     lower: list[tuple[int, ...]] = [()] * m  # lower divisibility covers
-    seen = [False] * m
-    seen[0] = True  # 1, met first at (0, 0)
-    row = [0] * len(inst.k_orders)
+    gcd, k_orders = math.gcd, inst.k_orders
+    row = [0] * len(k_orders)
     for h in inst.h_orders[1:]:
-        prev, row = row, [0]
-        for j, k in enumerate(inst.k_orders[1:], start=1):
-            x = index[math.gcd(h, k)]
-            row.append(x)
-            if seen[x]:
-                continue
-            seen[x] = True
-            a, b = prev[j], row[j - 1]
-            lower[x] = (a,) if a == b else (min(a, b), max(a, b))
+        prev, row = row, [index[gcd(h, k)] for k in k_orders]
+        for j in range(1, len(row)):
+            x, a, b = row[j], prev[j], row[j - 1]
+            if x != a and x != b:
+                lower[x] = (a,) if a == b else (min(a, b), max(a, b))
     return FiniteLattice._from_covers_up(lower, range(m - 1, -1, -1))
 
 

@@ -306,25 +306,21 @@ def is_semimodular(lattice: FiniteLattice) -> bool:
     such pair spans one of the covering squares, so this counts them.
     Cost: that of covering_squares."""
     def compute():
-        pairs = sum(len(ups) * (len(ups) - 1) // 2 for ups in lattice.covers_up)
+        pairs = sum(k * (k - 1) for k in map(len, lattice.covers_up)) // 2
         return len(covering_squares(lattice)) == pairs
     return _cached(lattice, "semimodular", compute)
 
 
 def join_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Elements with exactly one lower cover (the bottom is excluded)."""
-    def compute():
-        return tuple(x for x in range(lattice.size)
-                     if x != lattice.bottom and len(lattice.covers_down[x]) == 1)
-    return _cached(lattice, "ji", compute)
+    """Elements with exactly one lower cover (the bottom has none)."""
+    return _cached(lattice, "ji", lambda: tuple(
+        x for x, below in enumerate(lattice.covers_down) if len(below) == 1))
 
 
 def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Elements with exactly one upper cover (the top is excluded)."""
-    def compute():
-        return tuple(x for x in range(lattice.size)
-                     if x != lattice.top and len(lattice.covers_up[x]) == 1)
-    return _cached(lattice, "mi", compute)
+    """Elements with exactly one upper cover (the top has none)."""
+    return _cached(lattice, "mi", lambda: tuple(
+        x for x, above in enumerate(lattice.covers_up) if len(above) == 1))
 
 
 def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
@@ -336,31 +332,37 @@ def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
     The incomparability graph of a poset is perfect, so it has no triangle
     iff it is bipartite: the colouring exists iff the elements contain no
     three-element antichain (equivalently, they are a union of two chains).
-    Cost: O(k^2) bitmask operations for k elements.
+    A coloured neighbour lies in the element's component, so it clashes iff
+    its colour has the same parity.  Cost: O(k) size-bit mask operations.
     """
+    up, down = lattice.up, lattice.down
     members = 0
     for x in elems:
         members |= 1 << x
     colour: dict[int, int] = {}
+    parity = [0, 0]  # the coloured elements, by the parity of their colour
     base = 0
     for start in elems:
         if start in colour:
             continue
         colour[start] = base
+        parity[0] |= 1 << start
         base += 2
         stack = [start]
         while stack:
             x = stack.pop()
-            rest = members & ~(lattice.up[x] | lattice.down[x])
-            while rest:
-                low = rest & -rest
-                rest ^= low
+            c = colour[x]
+            rest = members & ~(up[x] | down[x])
+            if rest & parity[c & 1]:
+                return None
+            fresh = rest & ~(parity[0] | parity[1])
+            parity[c & 1 ^ 1] |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
                 y = low.bit_length() - 1
-                if y not in colour:
-                    colour[y] = colour[x] ^ 1
-                    stack.append(y)
-                elif colour[y] == colour[x]:
-                    return None
+                colour[y] = c ^ 1
+                stack.append(y)
     return colour
 
 
@@ -415,16 +417,10 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
     common upper cover of a and b if there is one.  Cost: O(sum of squared
     up-degrees) scans of two cover lists.
     """
-    def compute():
-        squares = set()
-        covers_up = lattice.covers_up
-        for w, ups in enumerate(covers_up):
-            for a, b in itertools.combinations(ups, 2):
-                for t in covers_up[a]:
-                    if t in covers_up[b]:
-                        squares.add((w, a, b, t))
-        return frozenset(squares)
-    return _cached(lattice, "squares", compute)
+    covers_up = lattice.covers_up
+    return _cached(lattice, "squares", lambda: frozenset(
+        (w, a, b, t) for w, ups in enumerate(covers_up)
+        for a, b in itertools.combinations(ups, 2) for t in covers_up[a] if t in covers_up[b]))
 
 
 def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
@@ -463,10 +459,10 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
     checks against the covers.  Cost: O(size + |covers|) per sweep.
     """
     palette: dict = {}
+    recolour = palette.setdefault
     lattices = (l1, l2)
-    colours = [[palette.setdefault((lat.height[x], len(lat.covers_down[x]),
-                                    len(lat.covers_up[x])), len(palette))
-                for x in range(lat.size)] for lat in lattices]
+    colours = [[recolour(key, len(palette)) for key in zip(
+        lat.height, map(len, lat.covers_down), map(len, lat.covers_up))] for lat in lattices]
     classes, calm, upward = 0, 0, True
     while True:
         c1, c2 = colours
@@ -480,9 +476,17 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
         for k, lat in enumerate(lattices):
             old, new = colours[k], colours[k][:]
             nearer = lat.covers_down if upward else lat.covers_up
-            for x in (lat._order if upward else reversed(lat._order)):
-                new[x] = palette.setdefault(
-                    (old[x], *sorted([new[u] for u in nearer[x]])), len(palette))
+            order = lat._order if upward else lat._order[::-1]
+            for x, near in zip(order, map(nearer.__getitem__, order)):
+                # the keys of sorting every list, without sorting one or two
+                if len(near) == 1:
+                    key = (old[x], new[near[0]])
+                elif len(near) == 2:
+                    a, b = new[near[0]], new[near[1]]
+                    key = (old[x], a, b) if a <= b else (old[x], b, a)
+                else:
+                    key = (old[x], *sorted([new[u] for u in near]))
+                new[x] = recolour(key, len(palette))
             colours[k] = new
         upward = not upward
 

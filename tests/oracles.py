@@ -214,6 +214,40 @@ def naive_quotient_covers(kappa):
     )
 
 
+def quotient_by_reduction(kappa):
+    """Upper covers and strict up-sets of the quotient by a join-congruence,
+    by the bitmask route: the quotient order is the reflexive-transitive
+    closure of the images of the uncollapsed grid edges, and its covers are
+    their transitive reduction, found by taking blocks in decreasing rank of
+    their tops and uniting the strict up-sets of each block's targets."""
+    n, labels = kappa.n, kappa.labels
+    side = n + 1
+    tops = kappa.block_tops()
+    targets = [0] * len(tops)
+    for e, lab in enumerate(labels):
+        i, j = divmod(e, side)
+        for f, inside in ((e + side, i < n), (e + 1, j < n)):
+            if inside and labels[f] != lab:
+                targets[lab] |= 1 << labels[f]
+    above = [0] * len(tops)
+    covers_up = [[] for _ in tops]
+    for x in sorted(range(len(tops)), key=lambda x: -sum(tops[x])):
+        reach = 0
+        for y in set_bits(targets[x]):
+            reach |= above[y]
+        above[x] = targets[x] | reach
+        covers_up[x] = list(set_bits(targets[x] & ~reach))
+    return covers_up, above
+
+
+def set_bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def naive_bound_tables(lattice):
     """Join and meet tables by scanning the common bounds of every pair for
     the one whose up-set (down-set) equals them; None marks a missing bound."""
@@ -456,6 +490,35 @@ def trial_division_is_prime(p):
             return False
         d += 1
     return True
+
+
+def joint_refinement_by_sorted_sweeps(l1, l2):
+    """lattice._joint_refinement as it was before it skipped sorting short
+    cover lists: the same sweeps, palette and stopping rule, with every
+    key built from a sorted list of the covers' new colours."""
+    palette = {}
+    lattices = (l1, l2)
+    colours = [[palette.setdefault((lat.height[x], len(lat.covers_down[x]),
+                                    len(lat.covers_up[x])), len(palette))
+                for x in range(lat.size)] for lat in lattices]
+    classes, calm, upward = 0, 0, True
+    while True:
+        c1, c2 = colours
+        if sorted(c1) != sorted(c2):
+            return None
+        count = len(set(c1))
+        calm = calm + 1 if count == classes else 0
+        if count == len(c1) or calm == 2:
+            return c1, c2
+        classes = count
+        for k, lat in enumerate(lattices):
+            old, new = colours[k], colours[k][:]
+            nearer = lat.covers_down if upward else lat.covers_up
+            for x in (lat._order if upward else reversed(lat._order)):
+                new[x] = palette.setdefault(
+                    (old[x], *sorted([new[u] for u in nearer[x]])), len(palette))
+            colours[k] = new
+        upward = not upward
 
 
 def joint_refinement_by_rounds(l1, l2):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -239,6 +240,151 @@ class TestDiagramsOf:
     def test_chain_pair_rejects_three_incomparable_join_irreducibles(self):
         with pytest.raises(extract.NotSlimSemimodular, match="two chains"):
             extract._component_chain_pair(M3, 0, 4)
+
+
+def unchecked_diagram(lat, left, right):
+    """A BorderedDiagram built without the constructor's checks, to reach the
+    refusals the extractors make themselves."""
+    diagram = object.__new__(BorderedDiagram)
+    for name, value in (("lattice", lat), ("left_chain", left), ("right_chain", right)):
+        object.__setattr__(diagram, name, value)
+    return diagram
+
+
+def phi0_mutants(d):
+    """(kind, size, covers, left, right) of the mutants of a phi0 diagram:
+    the chains swapped, one inner step of the left chain taken from the
+    right chain, one cover dropped, and one new element subdividing a cover
+    (and every chain through it)."""
+    lat, left, right = d.lattice, d.left_chain, d.right_chain
+    yield "swapped", lat.size, lat.covers, right, left
+    for k in range(1, len(left) - 1):
+        yield "swapped step", lat.size, lat.covers, left[:k] + right[k:k + 1] + left[k + 1:], right
+    for x, y in sorted(lat.covers):
+        yield "dropped cover", lat.size, lat.covers - {(x, y)}, left, right
+        z = lat.size
+
+        def subdivided(chain):
+            return tuple(v for a, b in zip(chain, chain[1:] + (None,))
+                         for v in ((a, z) if (a, b) == (x, y) else (a,)))
+        yield ("added element", z + 1, (lat.covers - {(x, y)}) | {(x, z), (z, y)},
+               subdivided(left), subdivided(right))
+
+
+EXTRACTORS = (extract.pi1_trajectories, extract.pi2_meet_irreducibles, extract.pi3_source_cells)
+M3_DIAGRAM = unchecked_diagram(M3, (0, 1, 4), (0, 2, 4))
+BOOLEAN_4 = FiniteLattice(16, [(x, x | 1 << k) for x in range(16) for k in range(4)
+                               if not x >> k & 1])
+
+
+def refusal(call):
+    try:
+        call()
+    except Exception as exc:  # the type and message are the data
+        return type(exc), str(exc)
+    return None
+
+
+class TestErrorPaths:
+    NOT_SEMIMODULAR = (extract.NotSlimSemimodular, "lattice is not semimodular")
+
+    def test_mutated_phi0_diagrams(self):
+        # Every mutant is refused by the lattice or diagram constructor, or by
+        # all three extractors alike, or extracted alike by all three.  A
+        # diagram of a semimodular lattice is a diagram of a slim semimodular
+        # one, whose two chains are its boundary chains, so the extractors'
+        # own refusals are unreachable here.
+        allowed = {
+            "lattice": {(lattice.NotALattice,
+                         r"order must have a least and a greatest element")},
+            "diagram": {(lattice.InvalidDiagram, r"join-irreducibles \[\d+\] not on either chain"),
+                        (lattice.InvalidDiagram, r"left chain step \(\d+, \d+\) is not a cover")},
+        }
+        outcomes = set()
+        for n in range(1, 5):
+            for pi in all_perms(n):
+                for kind, size, covers, left, right in phi0_mutants(grid.phi0(pi)):
+                    got = refusal(lambda: FiniteLattice(size, covers))
+                    stage = "lattice"
+                    if got is None:
+                        lat = FiniteLattice(size, covers)
+                        got = refusal(lambda: BorderedDiagram(lat, left, right))
+                        stage = "diagram"
+                    if got is not None:
+                        assert any(got[0] is cls and re.fullmatch(pattern, got[1])
+                                   for cls, pattern in allowed[stage]), (kind, got)
+                        outcomes.add((kind, got[0]))
+                        continue
+                    diagram = BorderedDiagram(lat, left, right)
+                    refusals = [refusal(lambda: f(diagram)) for f in EXTRACTORS]
+                    if refusals[0] is not None:
+                        assert refusals == [self.NOT_SEMIMODULAR] * 3, (kind, refusals)
+                        outcomes.add((kind, extract.NotSlimSemimodular))
+                        continue
+                    p1, p2, p3 = (f(diagram) for f in EXTRACTORS)
+                    assert p1 == p2 == p3, (kind, p1, p2, p3)
+                    if kind == "swapped":
+                        assert p1 == pi.inverse()
+                    nar = lattice.narrows(lat)
+                    for lo, hi in zip(nar, nar[1:]):
+                        extract._component_chain_pair(lat, lo, hi)
+                    outcomes.add((kind, None))
+        assert outcomes == {
+            ("swapped", None), ("swapped step", None),
+            ("swapped step", lattice.InvalidDiagram),
+            ("dropped cover", lattice.NotALattice), ("dropped cover", lattice.InvalidDiagram),
+            ("dropped cover", extract.NotSlimSemimodular),
+            ("added element", lattice.InvalidDiagram), ("added element", None),
+            ("added element", extract.NotSlimSemimodular),
+        }
+
+    def test_n5(self):
+        d = BorderedDiagram(N5, (0, 1, 2, 4), (0, 3, 4))
+        assert [refusal(lambda: f(d)) for f in EXTRACTORS] == [self.NOT_SEMIMODULAR] * 3
+        with pytest.raises(extract.NotSlimSemimodular, match="^lattice is not semimodular$"):
+            extract.diagrams_of(N5)
+
+    def test_m3(self):
+        with pytest.raises(lattice.InvalidDiagram,
+                           match=re.escape("join-irreducibles [3] not on either chain")):
+            BorderedDiagram(M3, (0, 1, 4), (0, 2, 4))
+        with pytest.raises(extract.NotSlimSemimodular,
+                           match=re.escape("join-irreducibles of [0, 4] are not two chains")):
+            extract._component_chain_pair(M3, 0, 4)
+        with pytest.raises(extract.NotSlimSemimodular, match="^lattice is not slim$"):
+            extract.diagram_count(M3)
+
+    def test_boolean_4(self):
+        with pytest.raises(extract.NotSlimSemimodular,
+                           match="^edge in more than two covering squares$"):
+            extract._opposite_edges(BOOLEAN_4)
+        chain = (0, 1, 3, 7, 15)
+        with pytest.raises(extract.NotSlimSemimodular,
+                           match="^edge in more than two covering squares$"):
+            extract.pi1_trajectories(unchecked_diagram(BOOLEAN_4, chain, chain))
+        with pytest.raises(extract.UniquenessViolated,
+                           match="^filter difference at step 1 is not a chain$"):
+            extract.pi2_meet_irreducibles(unchecked_diagram(BOOLEAN_4, chain, chain))
+
+    def test_refusals_past_the_constructor(self):
+        # M3 is semimodular; with a join-irreducible off both chains, the
+        # walk from the left edge (0, 1) meets two squares, and the elements
+        # above 0 but not above 1 are not a chain.  Edges print as pairs.
+        with pytest.raises(extract.TrajectoryAmbiguous,
+                           match=re.escape("left edge (0, 1) borders two squares")):
+            extract.pi1_trajectories(M3_DIAGRAM)
+        with pytest.raises(extract.TrajectoryAmbiguous,
+                           match=re.escape("left edge (0, 1) borders two squares")):
+            extract.trajectory(M3_DIAGRAM, 1)
+        with pytest.raises(extract.UniquenessViolated,
+                           match="^filter difference at step 1 is not a chain$"):
+            extract.pi2_meet_irreducibles(M3_DIAGRAM)
+        # both chains on one side of the square: the trajectory from their
+        # shared first edge ends on (2, 3), an edge of neither chain
+        square = B2_LEFT_VIA_A.lattice
+        with pytest.raises(extract.TrajectoryAmbiguous, match=re.escape(
+                "trajectory 1 meets left edges [1] and right edges [1]")):
+            extract.pi1_trajectories(unchecked_diagram(square, (0, 1, 3), (0, 1, 3)))
 
 
 class TestBoundarySimilarity:

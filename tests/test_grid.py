@@ -470,6 +470,42 @@ class TestQuotient:
                 assert grid.quotient(kappa)[0].covers == oracles.naive_quotient_covers(kappa)
         assert flagged > 0
 
+    @staticmethod
+    def assert_matches_reduction(kappa):
+        lat, _ = grid.quotient(kappa)
+        covers_up, above = oracles.quotient_by_reduction(kappa)
+        assert [list(ups) for ups in lat.covers_up] == covers_up, kappa
+        # _fill derives the cones along the order quotient passes, so they
+        # check that it is a linear extension
+        assert list(lat.up) == [up | 1 << x for x, up in enumerate(above)], kappa
+        below = [1 << x for x in range(lat.size)]
+        for x, up in enumerate(above):
+            for y in oracles.set_bits(up):
+                below[y] |= 1 << x
+        assert list(lat.down) == below, kappa
+
+    def test_neighbour_tops_match_reduction_on_every_phi0_up_to_n7(self):
+        # covers read off neighbouring block tops against the transitive
+        # reduction of the edge images, with the cones both imply
+        for n in range(0, 8):
+            g = Grid(n)
+            for pi in all_perms(n):
+                self.assert_matches_reduction(grid.beta_from_formula(g, pi))
+
+    def test_neighbour_tops_match_reduction_on_random_closures(self):
+        # general join-congruences with n <= 9, many not cover-preserving
+        rng = random.Random(9)
+        flagged = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = Grid(n)
+            coords = list(g.elements())
+            pairs = [(rng.choice(coords), rng.choice(coords)) for _ in range(rng.randrange(1, 6))]
+            kappa = grid.congruence_closure(g, pairs)
+            flagged += bool(grid.forbidden_cells(kappa))
+            self.assert_matches_reduction(kappa)
+        assert flagged > 50
+
 
 class TestPhi0:
     def test_singleton(self):

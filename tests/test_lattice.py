@@ -422,6 +422,24 @@ class TestJointRefinement:
                     len(set(sweeps[0])) == l1.size
                     and next(lattice._search_isomorphisms(l1, l2), None) is None)
 
+    def test_colours_match_sorting_every_cover_list(self):
+        # bit-identical colour vectors, on the corpus and on phi0 lattices
+        # with up to six lower covers per element
+        pairs = [(l1, l2) for l1, l2, _, _ in refinement_corpus()]
+        rng = random.Random(16)
+        for n in (8, 12, 16, 20):
+            for _ in range(3):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                lat = grid.phi0(Permutation(images)).lattice
+                ids = list(range(lat.size))
+                rng.shuffle(ids)
+                pairs.append((lat, FiniteLattice(lat.size, [(ids[a], ids[b]) for a, b in lat.covers])))
+                pairs.append((lat, grid.phi0(Permutation(images).inverse()).lattice))
+        assert max(len(below) for l1, _ in pairs for below in l1.covers_down) > 2
+        for l1, l2 in pairs:
+            assert lattice._joint_refinement(l1, l2) == oracles.joint_refinement_by_sorted_sweeps(l1, l2)
+
     def test_searches_unchanged_with_rounds(self, monkeypatch):
         corpus = list(refinement_corpus())
         distinct = list({id(lat): lat for l1, l2, _, _ in corpus for lat in (l1, l2)}.values())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -204,6 +205,23 @@ class TestRhoClass:
             for images in all_images(n):
                 p = Permutation(images)
                 assert perm.class_size(p) == len(perm.rho_class(p)), images
+
+    @staticmethod
+    def three_cycles(k):
+        """k copies of (2,3,1) summed: 2^k members."""
+        return Permutation(tuple(3 * b + v for b in range(k) for v in (2, 3, 1)))
+
+    def test_refuses_more_than_the_cap(self):
+        assert perm.RHO_CLASS_CAP == 4096
+        for k in (13, 32):
+            start = time.perf_counter()
+            with pytest.raises(perm.TooLarge, match=f"{2 ** k} class members exceed the cap 4096"):
+                perm.rho_class(self.three_cycles(k))
+            assert time.perf_counter() - start < 0.1
+            assert perm.class_size(self.three_cycles(k)) == 2 ** k
+
+    def test_builds_up_to_the_cap(self):
+        assert len(perm.rho_class(self.three_cycles(12))) == 4096
 
     def test_class_members_are_equivalent(self):
         for images in all_images(4):
