@@ -258,6 +258,9 @@ def _usable_cpus() -> int:
 
 
 def cmd_verify(args) -> int:
+    """The bundles up to size min(n, 7), then the suite checks, reported in
+    that order.  With more than one usable CPU, the suite and then the
+    bundles are submitted to one process pool; with one, all run here."""
     import time
 
     # the bundle's modules, imported before the pool forks so that the
@@ -271,15 +274,25 @@ def cmd_verify(args) -> int:
 
     tasks = [(k, images) for k in range(1, min(n_max, 7) + 1)
              for images in itertools.permutations(range(1, k + 1))]
+    suite = [(name, min(n_max, cap), check, min(n_max, cap)) for name, cap, check in (
+        ("pairwise_iso", PAIRWISE_CAP, "_check_pairwise_iso"),
+        ("diagram_count", DIAGRAMS_CAP, "_check_diagram_counts"),
+        ("group_realization", GROUPS_CAP, "_check_group_realization"),
+        ("class_counts", perm.ENUMERATION_CAP, "_check_class_counts"))]
+    suite.append(("random_round_trip", min(n_max + 2, RANDOM_SIZE_CAP),
+                  "_check_random_round_trip", n_max, args.seed))
     workers = _usable_cpus()
     _note(f"checking {len(tasks)} permutation bundles with {workers} worker(s)")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = [pool.submit(_guarded, *entry) for entry in suite]
             chunk = max(1, len(tasks) // (workers * 8))
             failure_lists = list(pool.map(_pooled_bundle, tasks, chunksize=chunk))
+            suite_reports = [future.result() for future in pending]
     else:
         failure_lists = [_check_bundle(task) for task in tasks]
+        suite_reports = [_guarded(*entry) for entry in suite]
     for name in BUNDLE_CHECKS:
         bad = [task for task, fails in zip(tasks, failure_lists) if name in fails]
         checks.append({
@@ -289,15 +302,7 @@ def cmd_verify(args) -> int:
             "details": (f"{len(tasks)} permutations checked" if not bad
                         else f"{len(bad)} failures, first at {bad[0]}"),
         })
-
-    for name, scale, check in (
-            ("pairwise_iso", min(n_max, PAIRWISE_CAP), _check_pairwise_iso),
-            ("diagram_count", min(n_max, DIAGRAMS_CAP), _check_diagram_counts),
-            ("group_realization", min(n_max, GROUPS_CAP), _check_group_realization),
-            ("class_counts", min(n_max, perm.ENUMERATION_CAP), _check_class_counts)):
-        checks.append(_guarded(name, scale, check, scale))
-    checks.append(_guarded("random_round_trip", min(n_max + 2, RANDOM_SIZE_CAP),
-                           _check_random_round_trip, n_max, args.seed))
+    checks += suite_reports
 
     passed = all(check["passed"] for check in checks)
     report = {
@@ -314,10 +319,11 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _guarded(name: str, scale: int, check, *args) -> dict:
-    """The report of check(*args), or a failed report if it raises."""
+def _guarded(name: str, scale: int, check: str, *args) -> dict:
+    """The report of this module's check named check on args, or a failed one if
+    it raises; looked up by name when it runs, so a pool pickles only the name."""
     try:
-        return check(*args)
+        return globals()[check](*args)
     except Exception as exc:
         return {"name": name, "scale": scale, "passed": False,
                 "details": f"raised {type(exc).__name__}: {exc}"}

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _cached,
                              _join_irreducible_colouring, covering_squares,
@@ -108,23 +109,22 @@ def _opposite_edges(lattice: FiniteLattice) -> dict[int, tuple[int, ...]]:
     return _cached(lattice, "opposite_edges", compute)
 
 
-def _walk(adj: dict[int, tuple[int, ...]], start: int, size: int) -> list[int]:
-    """The edge ids met by the walk from start that never steps back.  It
-    revisits none either: the graph has degree at most 2 and the start at
-    most 1, so the neighbours of a vertex are visited just before and just
-    after it, and a first revisit would come from one of them, revisited
-    earlier, or from the one just left, a step back."""
+def _walk(adj: dict[int, tuple[int, ...]], start: int, size: int) -> Iterator[int]:
+    """The edge ids met by the walk from start that never steps back, in
+    order.  It revisits none either: the graph has degree at most 2 and the
+    start at most 1, so the neighbours of a vertex are visited just before
+    and just after it, and a first revisit would come from one of them,
+    revisited earlier, or from the one just left, a step back."""
     if len(adj.get(start, ())) > 1:
         raise TrajectoryAmbiguous(f"left edge {divmod(start, size)} borders two squares")
-    path = [start]
     prev, cur = -1, start
     while True:
+        yield cur
         for nxt in adj.get(cur, ()):
             if nxt != prev:
                 break
         else:
-            return path
-        path.append(nxt)
+            return
         prev, cur = cur, nxt
 
 
@@ -139,7 +139,9 @@ def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
 
 def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
     """Extraction by trajectories.  Tests semimodularity only: the lattice of
-    a bordered diagram is slim by construction."""
+    a bordered diagram is slim by construction.  Each walk counts the left
+    and right edges it meets, its start included, and a failing one is
+    walked again to name them."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     _require_semimodular(lattice)
     adj = _opposite_edges(lattice)
@@ -148,14 +150,18 @@ def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
     right_index = {right[k - 1] * size + right[k]: k for k in range(1, len(right))}
     images = []
     for i in range(1, diagram.n + 1):
-        path = _walk(adj, left[i - 1] * size + left[i], size)
-        # every index is at least 1
-        rights = [*filter(None, map(right_index.get, path))]
-        lefts = [*filter(None, map(left_index.get, path))]
-        if len(rights) != 1 or len(lefts) != 1 or path[-1] not in right_index:
+        start = left[i - 1] * size + left[i]
+        lefts = rights = 0
+        for edge in _walk(adj, start, size):
+            lefts += edge in left_index
+            rights += edge in right_index
+        if rights != 1 or lefts != 1 or edge not in right_index:
+            path = [*_walk(adj, start, size)]
+            # every index is at least 1
             raise TrajectoryAmbiguous(
-                f"trajectory {i} meets left edges {lefts} and right edges {rights}")
-        images.append(rights[0])
+                f"trajectory {i} meets left edges {[*filter(None, map(left_index.get, path))]}"
+                f" and right edges {[*filter(None, map(right_index.get, path))]}")
+        images.append(right_index[edge])
     return Permutation(tuple(images))
 
 
@@ -191,14 +197,14 @@ def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
     """Extraction through the join map from the grid onto the lattice.  Tests
     semimodularity only: the lattice of a bordered diagram is slim by
     construction.  The join of x and y, comparable or not, is the first of
-    their common upper bounds in the linear extension: one lowest set bit."""
+    their common upper bounds in the linear extension: one lowest set bit,
+    which stands for the join in the comparisons."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     _require_semimodular(lattice)
     n = diagram.n
-    order, up_ranked = lattice._order, lattice._up_ranked
+    up_ranked = lattice._up_ranked
     right_up = [up_ranked[d] for d in right]
-    eta = [[order[(m & -m).bit_length() - 1] for m in [up_ranked[c] & up_d for up_d in right_up]]
-           for c in left]
+    eta = [[m & -m for m in [up_ranked[c] & up_d for up_d in right_up]] for c in left]
     images = []
     for i in range(1, n + 1):
         below, row = eta[i - 1], eta[i]

@@ -23,6 +23,7 @@ pair, then maps each element to the least closed element above it.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
@@ -212,12 +213,13 @@ def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]
     contain the top, and every closed set of a congruence holding the pairs
     is among them.  On the grid the up-set of (i, j) is a rectangle of bits,
     so one XOR per pair marks the elements that separate it.  The least
-    closed element above e is the meet of the closed elements above e, so
-    each of its coordinates is the least one among them: e's own when e is
-    closed, and otherwise the smaller of the values at (i+1, j) and
-    (i, j+1), one downward pass over the rows.  Two elements share a block
-    iff they share that closure.  Cost: O(|pairs| + (n+1)^2) big-int
-    operations.
+    closed element above e = (i, j) is the meet of the closed elements above
+    it, so its row is the least row r >= i with a closed element in a column
+    >= j, and its column the least column >= j with a closed element in a
+    row >= i.  A downward pass over the rows keeps both for every column:
+    the first by one slice per row, the second as the closed columns seen so
+    far grow, one slice per new column.  Two elements share a block iff they
+    share that closure.  Cost: O(|pairs| + (n+1)^2) big-int operations.
     """
     side = n + 1
     size = side * side
@@ -230,29 +232,26 @@ def _closure_labels(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]
         bi, bj = divmod(b, side)
         separating |= ((full >> aj << aj) * rows << ai * side
                        ^ (full >> bj << bj) * rows << bi * side)
+    closed = ~separating
     keys = [0] * size  # flat index of the least closed element above e
-    # the coordinates of the least closed elements above row i + 1; past the
-    # grid there is none, and the sentinel `side` loses every comparison
-    above_i = above_j = [side] * (side + 1)
-    for i in range(n, -1, -1):
-        bits = separating >> i * side
-        row_i = [side] * (side + 1)
-        row_j = [side] * (side + 1)
-        e = i * side + n
-        for j in range(n, -1, -1):
-            if bits >> j & 1:
-                ci, cj = row_i[j + 1], row_j[j + 1]
-                if above_i[j] < ci:
-                    ci = above_i[j]
-                if above_j[j] < cj:
-                    cj = above_j[j]
-            else:
-                ci, cj = i, j
-            row_i[j] = ci
-            row_j[j] = cj
-            keys[e] = ci * side + cj
-            e -= 1
-        above_i, above_j = row_i, row_j
+    # by column j: the flat index of that least row's first element, and
+    # that least column; the top is closed, so the top row sets every entry
+    row_at = [0] * side
+    col_at = [0] * side
+    cols = 0  # the columns with a closed element in the rows passed
+    for e in range(n * side, -1, -side):
+        row = closed >> e & full
+        hi = row.bit_length()
+        row_at[:hi] = [e] * hi
+        new = row & ~cols
+        cols |= row
+        while new:
+            low = new & -new
+            new ^= low
+            c = low.bit_length()
+            below = (cols & low - 1).bit_length()  # past the closed column before it
+            col_at[below:c] = [c - 1] * (c - below)
+        keys[e:e + side] = map(operator.add, row_at, col_at)
     canon: dict[int, int] = {}
     return tuple([canon.setdefault(key, len(canon)) for key in keys])
 
@@ -396,10 +395,11 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
     those hypotheses the result equals the input.
     """
     side = kappa.n + 1
+    labels = kappa.labels
     for i in range(1, side):
-        if kappa.labels[(i - 1) * side] == kappa.labels[i * side]:
+        if labels[(i - 1) * side] == labels[i * side]:
             raise HypothesisViolated(f"left boundary edge {i - 1}->{i} collapsed")
-        if kappa.labels[i - 1] == kappa.labels[i]:
+        if labels[i - 1] == labels[i]:
             raise HypothesisViolated(f"right boundary edge {i - 1}->{i} collapsed")
     if not is_cover_preserving(kappa):
         raise HypothesisViolated("congruence has a forbidden cell")
@@ -438,57 +438,64 @@ def _join_congruence_tops(n: int, labels: Sequence[int]) -> tuple[list[int], lis
 
 
 def quotient(kappa: GridCongruence) -> tuple[FiniteLattice, tuple[Coord, ...]]:
-    """The quotient lattice of a join-congruence and the top of each block.
+    """The quotient lattice of a join-congruence and the top of each block,
+    built by _lattice_from_tops.  Any other partition raises ValueError (see
+    _join_congruence_tops).  Cost: O(n^2)."""
+    n, labels = kappa.n, kappa.labels
+    top_i, top_j = _join_congruence_tops(n, labels)
+    return _lattice_from_tops(n, labels, top_i, top_j), tuple(zip(top_i, top_j))
 
-    Element ids are the canonical block labels, and block X is below block Y
-    iff top(X) <= top(Y).  The upper covers of the block X with top (i, j)
-    are the lower of the blocks A and B of (i + 1, j) and (i, j + 1), or
-    both when their tops are incomparable: a block above X has a top above
+
+def _lattice_from_tops(n: int, labels: Sequence[int], top_i: Sequence[int],
+                       top_j: Sequence[int]) -> FiniteLattice:
+    """The quotient of the grid by a join-congruence, given its canonical
+    labels and the top coordinates of each block.
+
+    Element ids are the block labels, and block X is below block Y iff
+    top(X) <= top(Y).  The upper covers of the block X with top (i, j) are
+    the lower of the blocks A and B of (i + 1, j) and (i, j + 1), or both
+    when their tops are incomparable: a block above X has a top above
     (i + 1, j) or (i, j + 1), and as a closed element of the closure
     operator x -> top of its block, that top lies above top(A) or top(B).
     This holds for every join-congruence, cover-preserving or not.  By the
     rank i + j of their tops the blocks are a linear extension, and the
     quotient is a lattice by construction, built without FiniteLattice's
-    validation.  Cost: O(n^2).
-
-    Any other partition raises ValueError (see _join_congruence_tops).
+    validation; the caller must know the labels to be a join-congruence.
+    Cost: O(n^2).
     """
-    n, labels = kappa.n, kappa.labels
-    top_i, top_j = _join_congruence_tops(n, labels)
     side = n + 1
-    covers_up: list[list[int]] = []
+    covers_up: list[tuple[int, ...]] = []
     for i, j in zip(top_i, top_j):
-        ups = []
-        if i < n:
-            ups.append(labels[(i + 1) * side + j])
-        if j < n:
-            ups.append(labels[i * side + j + 1])
-        if len(ups) == 2:
-            a, b = ups
+        e = i * side + j
+        if i == n:
+            covers_up.append((labels[e + 1],) if j < n else ())
+        elif j == n:
+            covers_up.append((labels[e + side],))
+        else:
+            a, b = labels[e + side], labels[e + 1]
             if top_i[a] <= top_i[b] and top_j[a] <= top_j[b]:
-                del ups[1]
+                covers_up.append((a,))
             elif top_i[b] <= top_i[a] and top_j[b] <= top_j[a]:
-                del ups[0]
+                covers_up.append((b,))
             else:
-                ups.sort()
-        covers_up.append(ups)
+                covers_up.append((a, b) if a < b else (b, a))
     rank = list(map(int.__add__, top_i, top_j))
-    order = sorted(range(len(top_i)), key=rank.__getitem__)
-    lattice = FiniteLattice._from_covers_up(covers_up, order)
-    return lattice, tuple(zip(top_i, top_j))
+    return FiniteLattice._from_covers_up(covers_up, sorted(range(len(rank)), key=rank.__getitem__))
 
 
 def phi0(pi: Permutation) -> BorderedDiagram:
     """The quotient of the square grid by the congruence of pi, bordered by
     the images of the two grid boundary chains.
 
+    The closed form is the closure of pi's cells (``beta_from_perm`` checks
+    it), a join-congruence, so its block tops give the lattice unvalidated.
     The result is a slim semimodular lattice of length n; this map is a
     bijection onto bordered diagrams of such lattices, inverted by
     :func:`slimlat.extract.extract_permutation`.
     """
     n = pi.n
     labels = _formula_labels(n, pi.images)
-    lattice, _ = quotient(GridCongruence(n, labels))
+    lattice = _lattice_from_tops(n, labels, *_top_coordinates(n, labels))
     side = n + 1
     return BorderedDiagram(lattice, labels[::side], labels[:side])
 

@@ -13,7 +13,7 @@ The intersections gcd(H_i, K_j), ordered by divisibility, form a lattice
 whose dual is slim and semimodular.  The meet of two intersections is the
 intersection at the coordinatewise minimum of their index pairs, and the
 whole group lies on top, so the lattice is built from one walk over the
-(n + 1)^2 index pairs, in O(n^2) gcds and without checking all pairs of
+(n + 1)^2 index pairs, in O(n^2) products and without checking all pairs of
 elements for joins and meets.  Bordered by the reversed H chain on the
 left and the reversed K chain on the right, the dual extracts back exactly
 pi, which is also the unique permutation matching factors of H to factors of
@@ -185,16 +185,21 @@ def _intersection_lattice(inst: CyclicCslInstance) -> FiniteLattice:
     its upper covers in the reversed order: one when p = q, two
     incomparable ones otherwise.  The elements from the largest number down
     are a linear extension of the reversed order.  The order is a lattice by
-    construction, so it is built without validation.  Cost: O(n^2) gcds.
+    construction, so it is built without validation.  As p does not divide
+    H_{i-1}, gcd(H_i, K_j) is gcd(H_{i-1}, K_j) times p if p divides K_j, and
+    gcd(H_{i-1}, K_j) otherwise.  Cost: O(n^2) products, and no gcd.
     """
     elements = inst.elements
     index = {d: k for k, d in enumerate(elements)}
     m = len(elements)
     lower: list[tuple[int, ...]] = [()] * m  # lower divisibility covers
-    gcd, k_orders = math.gcd, inst.k_orders
+    h_orders, k_orders = inst.h_orders, inst.k_orders
+    values = [1] * len(k_orders)  # gcd(H_0, K_j)
     row = [0] * len(k_orders)
-    for h in inst.h_orders[1:]:
-        prev, row = row, [index[gcd(h, k)] for k in k_orders]
+    for h_prev, h in zip(h_orders, h_orders[1:]):
+        p = h // h_prev
+        values = [d * p if k % p == 0 else d for d, k in zip(values, k_orders)]
+        prev, row = row, [index[d] for d in values]
         for j in range(1, len(row)):
             x, a, b = row[j], prev[j], row[j - 1]
             if x != a and x != b:

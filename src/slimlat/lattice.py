@@ -41,6 +41,11 @@ JSON_SIZE_CAP = 5000
 # 28-element incidence lattices of 13 points and 13 lines (3 points on each
 # line, 3 lines through each point) it ran over 120 s.
 ISOMORPHISM_CAP = 200
+# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it took
+# 0.31 s for the 8! of M_8 (10 elements) and never returned on the 12! of M_12;
+# the cap refuses both within 40 ms.  A phi0 lattice with k glued-sum components
+# has at most 2^k, and perfbench's traced replay asks for at most 64.
+AUTOMORPHISMS_CAP = 4096
 
 
 class Cyclic(ValueError):
@@ -133,10 +138,10 @@ class FiniteLattice:
         lists the upper covers of x in ascending order, the covers are the
         transitive reduction of a lattice order, and order is a linear
         extension of it, so it starts at the bottom and ends at the top.
-        grid.quotient builds the closed elements of a closure operator,
-        groups the intersections of two chains of divisors, and dual, chain
-        and interval_sublattice take lattices to lattices; all are lattices
-        by construction.  Cost: that of _fill.
+        grid._lattice_from_tops builds the closed elements of a closure
+        operator, groups the intersections of two chains of divisors, and
+        dual, chain and interval_sublattice take lattices to lattices; all
+        are lattices by construction.  Cost: that of _fill.
         """
         self = cls.__new__(cls)
         self._fill(covers_up, order)
@@ -150,12 +155,14 @@ class FiniteLattice:
         id and by position in order, the heights, order[0] as the bottom and
         order[-1] as the top."""
         self.size = size = len(order)
+        self.covers_up = covers_up = tuple(map(tuple, covers_up))
         downs: list[list[int]] = [[] for _ in range(size)]
+        covers = []
         for x, ys in enumerate(covers_up):
             for y in ys:
                 downs[y].append(x)
-        self.covers = frozenset((x, y) for x, ys in enumerate(covers_up) for y in ys)
-        self.covers_up = covers_up = tuple(map(tuple, covers_up))
+                covers.append((x, y))
+        self.covers = frozenset(covers)
         self.covers_down = tuple(map(tuple, downs))
         up, down, height, up_r, down_r = ([0] * size for _ in range(5))
         for k, x in enumerate(order):
@@ -290,12 +297,10 @@ def chain(n: int) -> FiniteLattice:
 
 
 def _cached(lattice: FiniteLattice, key: str, compute):
-    try:
-        return lattice._cache[key]
-    except KeyError:
-        value = compute()
-        lattice._cache[key] = value
-        return value
+    cache = lattice._cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def is_semimodular(lattice: FiniteLattice) -> bool:
@@ -419,7 +424,7 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
     """
     covers_up = lattice.covers_up
     return _cached(lattice, "squares", lambda: frozenset(
-        (w, a, b, t) for w, ups in enumerate(covers_up)
+        (w, a, b, t) for w, ups in enumerate(covers_up) if len(ups) > 1
         for a, b in itertools.combinations(ups, 2) for t in covers_up[a] if t in covers_up[b]))
 
 
@@ -579,9 +584,17 @@ def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
 
 
 def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
-    """All order automorphisms (cached on the lattice)."""
+    """All order automorphisms (cached on the lattice).  Raises TooLarge
+    above ISOMORPHISM_CAP elements, and as soon as the search finds more
+    than AUTOMORPHISMS_CAP automorphisms."""
+    if lattice.size > ISOMORPHISM_CAP:
+        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
     def compute():
-        return tuple(_search_isomorphisms(lattice, lattice, limit=None))
+        search = _search_isomorphisms(lattice, lattice, limit=None)
+        autos = tuple(itertools.islice(search, AUTOMORPHISMS_CAP + 1))
+        if len(autos) > AUTOMORPHISMS_CAP:
+            raise TooLarge(f"more than {AUTOMORPHISMS_CAP} automorphisms")
+        return autos
     return _cached(lattice, "automorphisms", compute)
 
 
@@ -639,8 +652,9 @@ class BorderedDiagram(_Frozen):
 def _check_maximal_chain(lattice: FiniteLattice, chain_: Sequence[int], name: str) -> None:
     if not chain_ or chain_[0] != lattice.bottom or chain_[-1] != lattice.top:
         raise InvalidDiagram(f"{name} chain must run from bottom to top")
+    covers = lattice.covers
     for a, b in zip(chain_, chain_[1:]):
-        if not lattice.is_cover(a, b):
+        if (a, b) not in covers:
             raise InvalidDiagram(f"{name} chain step ({a}, {b}) is not a cover")
 
 

@@ -106,9 +106,11 @@ class TestBuild:
         assert out1 == out2
 
     def test_runs_the_quotient_once(self, capsys, monkeypatch):
+        # phi0 and quotient share one cover builder; the layout reuses its lattice
         calls = []
-        quotient = grid.quotient
-        monkeypatch.setattr(grid, "quotient", lambda kappa: calls.append(kappa) or quotient(kappa))
+        build = grid._lattice_from_tops
+        monkeypatch.setattr(grid, "_lattice_from_tops",
+                            lambda *args: calls.append(args) or build(*args))
         code, out, _ = run(capsys, "build", "--perm", "3,1,4,2")
         assert code == 0 and len(json.loads(out)["layout"]) == 8
         assert len(calls) == 1
@@ -405,6 +407,36 @@ class TestVerify:
             reports.append(report)
         assert reports[0] == reports[1]
         assert reports[0]["inputs"] == {"n": 5, "seed": 0}
+
+    @pytest.mark.parametrize("position, check", [
+        (None, None),
+        (0, "_check_pairwise_iso"),
+        (1, "_check_diagram_counts"),
+        (2, "_check_group_realization"),
+        (3, "_check_class_counts"),
+        (4, "_check_random_round_trip"),
+    ])
+    def test_pool_and_serial_reports_agree(self, capsys, monkeypatch, position, check):
+        # the suite checks run in the bundle pool; a raising one keeps its
+        # place and message, and a lambda in its place need not pickle
+        if check is not None:
+            monkeypatch.setattr(cli, check, lambda *args: 1 / 0)
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda workers=workers: workers)
+            code, out, err = run(capsys, "verify", "--n", "4")
+            assert f"with {workers} worker(s)" in err
+            report = json.loads(out)
+            report.pop("wall_time_s")
+            reports.append((code, report))
+        assert reports[0] == reports[1]
+        code, report = reports[0]
+        failed = [(k, c["details"]) for k, c in enumerate(report["checks"]) if not c["passed"]]
+        if check is None:
+            assert code == 0 and failed == []
+        else:
+            assert code == 1 and failed == [(len(cli.BUNDLE_CHECKS) + position,
+                                             "raised ZeroDivisionError: division by zero")]
 
     def test_injected_fault_in_a_pool_worker_fails(self, capsys, monkeypatch):
         parent = os.getpid()

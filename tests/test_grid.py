@@ -573,6 +573,22 @@ class TestPhi0:
         assert pi.images == (2, 3, 1) and hash(pi) == hash(Permutation((2, 3, 1)))
         assert grid.phi0(pi) == grid.phi0(Permutation((2, 3, 1)))
 
+    def test_matches_the_validated_quotient(self):
+        # phi0 skips quotient's join-congruence check on the closed form
+        rng = random.Random(17)
+        perms = [pi for n in range(0, 8) for pi in all_perms(n)]
+        for n in range(8, 97, 4):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+        for pi in perms:
+            d = grid.phi0(pi)
+            labels = grid._formula_labels(pi.n, pi.images)
+            lat, _ = grid.quotient(GridCongruence(pi.n, labels))
+            side = pi.n + 1
+            assert (d.lattice.covers_up, d.lattice._order) == (lat.covers_up, lat._order), pi
+            assert (d.left_chain, d.right_chain) == (labels[::side], labels[:side]), pi
+
     def test_memo_caches_are_bounded(self):
         assert grid._formula_labels.cache_info().maxsize is not None
 

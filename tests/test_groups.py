@@ -161,6 +161,14 @@ class TestDivisorLattice:
             want = lattice.FiniteLattice(got.size, got.covers)
             assert oracles.order_data(got) == oracles.order_data(want)
 
+    def test_runs_no_gcd(self, monkeypatch):
+        # each row of intersections follows from the row below and its step
+        # prime, so only csl_build takes gcds
+        instances = [csl_build(first_primes(5), pi) for pi in all_perms(5)]
+        want = [groups._intersection_lattice(inst).covers for inst in instances]
+        monkeypatch.setattr(groups.math, "gcd", None)
+        assert [groups._intersection_lattice(inst).covers for inst in instances] == want
+
     def test_runs_no_bounds_scan(self, monkeypatch):
         def scan(self):
             raise AssertionError("all-pairs scan")

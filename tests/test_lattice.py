@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -361,6 +362,26 @@ class TestIsomorphism:
 
     def test_automorphisms_of_chain(self):
         assert lattice.automorphisms(CHAIN4) == (tuple(range(4)),)
+
+    @staticmethod
+    def m_n(k):
+        """M_k: a bottom, k atoms and a top, with k! automorphisms."""
+        return FiniteLattice(k + 2, [(0, a) for a in range(1, k + 1)]
+                             + [(a, k + 1) for a in range(1, k + 1)])
+
+    def test_automorphisms_below_the_cap_are_listed(self):
+        autos = lattice.automorphisms(self.m_n(6))
+        assert len(set(autos)) == 720 <= lattice.AUTOMORPHISMS_CAP
+
+    def test_automorphisms_past_the_cap_refuse_at_once(self):
+        started = time.process_time()  # about 40 ms of the search, unslowed by other processes
+        with pytest.raises(lattice.TooLarge, match=f"more than {lattice.AUTOMORPHISMS_CAP} "):
+            lattice.automorphisms(self.m_n(12))  # 479,001,600 automorphisms
+        assert time.process_time() - started < 0.1
+
+    def test_automorphisms_refuse_past_the_size_cap(self):
+        with pytest.raises(lattice.TooLarge, match="isomorphism cap"):
+            lattice.automorphisms(lattice.chain(lattice.ISOMORPHISM_CAP))
 
 
 def boolean_lattice(k):
