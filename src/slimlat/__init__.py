@@ -31,7 +31,8 @@ _HOMES = {name: module for module, names in (
               "count_classes", "enumerate_reps")),
     ("lattice", ("FiniteLattice", "BorderedDiagram", "from_covers", "is_semimodular",
                  "is_slim", "is_dually_slim", "join_irreducibles", "meet_irreducibles",
-                 "narrows", "dual", "covering_squares", "is_isomorphic", "automorphisms")),
+                 "narrows", "dual", "covering_squares")),
+    ("iso", ("is_isomorphic", "automorphisms")),
     ("grid", ("Grid", "GridCell", "GridCongruence", "congruence_closure", "jcong_cell",
               "beta_from_perm", "beta_from_formula", "beta_formula", "forbidden_cells",
               "is_cover_preserving", "source_cells", "regenerate", "phi0")),

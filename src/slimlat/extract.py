@@ -291,13 +291,16 @@ def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
 
 def _assemble(lattice: FiniteLattice, pairs) -> BorderedDiagram:
     """The diagram whose left (right) chain runs through the first (second)
-    chain of each component's (left, right) pair, bottom to top."""
+    chain of each component's (left, right) pair, bottom to top.  Built
+    without BorderedDiagram's checks: the narrows run from bottom to top,
+    each pair walks from one narrow to the next through covers, and the two
+    chains of a component hold all its join-irreducibles."""
     left: list[int] = [lattice.bottom]
     right: list[int] = [lattice.bottom]
     for u, v in pairs:
         left.extend(u[1:])
         right.extend(v[1:])
-    return BorderedDiagram(lattice, tuple(left), tuple(right))
+    return BorderedDiagram._trusted(lattice, tuple(left), tuple(right))
 
 
 def _orientation_options(lattice: FiniteLattice) -> list[tuple[tuple[Chain, Chain], ...]]:

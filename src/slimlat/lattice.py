@@ -11,41 +11,30 @@ Conventions:
       meet are computed on demand from the cones.
 
 The module also provides the predicates used throughout the package
-(semimodularity, slimness, narrows, covering squares), a brute-force
-isomorphism oracle with witness maps, the :class:`BorderedDiagram` wrapper
-that fixes a left and a right maximal chain of a lattice, the combinatorial
-stand-in for a planar diagram considered up to boundary similarity, and a
-test of boundary similarity by the same isomorphism search.
+(semimodularity, slimness, narrows, covering squares) and the
+:class:`BorderedDiagram` wrapper that fixes a left and a right maximal chain
+of a lattice, the combinatorial stand-in for a planar diagram considered up
+to boundary similarity.  The isomorphism search, boundary similarity and
+interval sublattices live in :mod:`slimlat.iso`; their public names resolve
+here on first use (see __getattr__).
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from slimlat.perm import _Frozen
 
 # The largest lattice size lattice_from_json accepts.  Construction costs
-# O(size^2) bits of masks and an O(size^2) check that every pair has a join
-# and a meet, so the size is checked before anything is allocated: a 69-byte
-# file claiming 20,000 elements and no covers used to reach 125 MB of peak RSS
-# before it was refused.  The cap admits every build output: the largest at
-# the permutation size cap 96 is the reversal's, 96 * 97 / 2 + 1 = 4,657
-# elements, and extract on it takes 15 s and 30 MB of peak RSS on a 2-vCPU
-# VM, nearly all of it in that check.
-JSON_SIZE_CAP = 5000
-# The largest lattice size find_isomorphism and is_isomorphic accept.  On a
-# 2-vCPU VM they take 0.1-2 ms against a relabelled copy of a phi0 lattice of
-# 182 or 191 elements, the 200-chain, M_198, 2^7 or the 14 x 14 grid.  The
-# search stays exponential where refinement splits nothing: on two random
-# 28-element incidence lattices of 13 points and 13 lines (3 points on each
-# line, 3 lines through each point) it ran over 120 s.
-ISOMORPHISM_CAP = 200
-# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it took
-# 0.31 s for the 8! of M_8 (10 elements) and never returned on the 12! of M_12;
-# the cap refuses both within 40 ms.  A phi0 lattice with k glued-sum components
-# has at most 2^k, and perfbench's traced replay asks for at most 64.
-AUTOMORPHISMS_CAP = 4096
+# O(size^2) bits of masks, so the size is checked before anything is
+# allocated: a 69-byte file claiming 20,000 elements and no covers used to
+# reach 125 MB of peak RSS before it was refused.  The cap admits every build
+# output: the largest at the permutation size cap 128 is the reversal's,
+# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.36 s and
+# 69 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
+# bound check makes k(k - 1)/2 tests for an element with k upper covers, so
+# M_8255 at the cap takes 54 s.
+JSON_SIZE_CAP = 8257
 
 
 class Cyclic(ValueError):
@@ -84,9 +73,10 @@ class FiniteLattice:
     linear extension.
 
     The constructor validates its input: the covers must be the transitive
-    reduction of a bounded order, and one such bit search per incomparable
-    pair checks that every pair has a join and a meet.  _from_covers_up
-    builds the lattices known to be lattices by construction without it.
+    reduction of a bounded order, and one such bit search per pair of upper
+    covers of an element checks that every pair has a join and a meet (see
+    _check_bounds).  _from_covers_up builds the lattices known to be
+    lattices by construction without that check.
     """
 
     __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
@@ -140,7 +130,7 @@ class FiniteLattice:
         extension of it, so it starts at the bottom and ends at the top.
         grid._lattice_from_tops builds the closed elements of a closure
         operator, groups the intersections of two chains of divisors, and
-        dual, chain and interval_sublattice take lattices to lattices; all
+        dual, chain and iso.interval_sublattice take lattices to lattices; all
         are lattices by construction.  Cost: that of _fill.
         """
         self = cls.__new__(cls)
@@ -196,6 +186,40 @@ class FiniteLattice:
                 raise NotReduced(f"cover ({a}, {b}) is a transitive edge")
 
     def _check_bounds(self) -> None:
+        """Raises NotALattice unless every pair has a join and a meet, given
+        a bounded order.  It tests the pairs of upper covers of each element
+        only, and runs _scan_bounds, which names the first pair without a
+        join or a meet, when one of them has no join.
+
+        A pair has a join iff the first of its common upper bounds in the
+        linear extension has exactly the common upper bounds above it.  The
+        cover pairs decide every pair in a finite poset with a least
+        element:
+          - Suppose some pair x, y has no join.  Among such pairs take one
+            with a common lower bound z of the greatest height h.
+          - Take upper covers x1 <= x and y1 <= y of z.  They are distinct,
+            or x1 would be a common lower bound of height h + 1.
+          - w = x1 v y1 exists by the test.
+          - u = x v w exists, since x and w share x1, of height h + 1 > h.
+            For the same reason v = u v y exists, since u and y share y1.
+          - Every common upper bound of x and y lies above x1, y1, w, u and
+            v in turn, and v lies above x and y.  So v = x v y, a
+            contradiction.
+        Meets follow: in a finite join-semilattice with a least element the
+        meet of x and y is the join of their common lower bounds.  A failing
+        cover pair has no join, so the scan always raises.  Cost: O(sum of
+        squared up-degrees) size-bit mask operations, at most size for a
+        slim lattice.
+        """
+        order, up = self._order, self._up_ranked
+        for ups in self.covers_up:
+            if len(ups) > 1:
+                for a, b in itertools.combinations(ups, 2):
+                    common = up[a] & up[b]
+                    if up[order[(common & -common).bit_length() - 1]] != common:
+                        self._scan_bounds()
+
+    def _scan_bounds(self) -> None:
         # Every pair has a join iff, for every incomparable pair, the first
         # common upper bound in the linear extension has exactly the common
         # upper bounds above it; dually for meets.  The pairs are met in
@@ -428,191 +452,6 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
         for a, b in itertools.combinations(ups, 2) for t in covers_up[a] if t in covers_up[b]))
 
 
-def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
-                        ) -> tuple[FiniteLattice, tuple[int, ...]]:
-    """The interval [lo, hi] as a lattice of its own.
-
-    Returns (sub, elems) where elems[k] is the original id of sub element k;
-    covers restrict because anything between two interval members lies in
-    the interval, and the (height, id) order of elems is a linear extension.
-    """
-    if not lattice.leq(lo, hi):
-        raise ValueError(f"{lo} is not below {hi}")
-    elems = tuple(lattice.interval(lo, hi))
-    index = {x: k for k, x in enumerate(elems)}
-    covers_up = [sorted(index[y] for y in lattice.covers_up[x] if y in index)
-                 for x in elems]
-    return FiniteLattice._from_covers_up(covers_up, range(len(elems))), elems
-
-
-# -- isomorphism -------------------------------------------------------------
-
-def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
-                      ) -> tuple[list[int], list[int]] | None:
-    """The coarsest equitable partition of both lattices together that
-    refines (height, number of lower covers, number of upper covers), as
-    colour vectors; None once the two sides' class sizes differ.
-
-    Sweeps alternate upward and downward along the linear extension.  A
-    sweep recolours each element from its own colour and the new colours of
-    its lower covers (upper covers on the way down), through one palette
-    shared by both lattices, and stops when two sweeps in a row split no
-    class: then every class agrees on the classes of its lower and of its
-    upper covers.  Once every class holds one element of each lattice, no
-    sweep can split a class further, and the colours are returned as they
-    are: pairing them is the one candidate map, which _search_isomorphisms
-    checks against the covers.  Cost: O(size + |covers|) per sweep.
-    """
-    palette: dict = {}
-    recolour = palette.setdefault
-    lattices = (l1, l2)
-    colours = [[recolour(key, len(palette)) for key in zip(
-        lat.height, map(len, lat.covers_down), map(len, lat.covers_up))] for lat in lattices]
-    classes, calm, upward = 0, 0, True
-    while True:
-        c1, c2 = colours
-        if sorted(c1) != sorted(c2):
-            return None
-        count = len(set(c1))
-        calm = calm + 1 if count == classes else 0
-        if count == len(c1) or calm == 2:
-            return c1, c2
-        classes = count
-        for k, lat in enumerate(lattices):
-            old, new = colours[k], colours[k][:]
-            nearer = lat.covers_down if upward else lat.covers_up
-            order = lat._order if upward else lat._order[::-1]
-            for x, near in zip(order, map(nearer.__getitem__, order)):
-                # the keys of sorting every list, without sorting one or two
-                if len(near) == 1:
-                    key = (old[x], new[near[0]])
-                elif len(near) == 2:
-                    a, b = new[near[0]], new[near[1]]
-                    key = (old[x], a, b) if a <= b else (old[x], b, a)
-                else:
-                    key = (old[x], *sorted([new[u] for u in near]))
-                new[x] = recolour(key, len(palette))
-            colours[k] = new
-        upward = not upward
-
-
-def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
-                         pinned: dict[int, int] | None = None,
-                         limit: int | None = 1) -> Iterator[tuple[int, ...]]:
-    """Order isomorphisms l1 -> l2 that preserve the joint refinement's
-    colours and the pinned pairs.
-
-    When every colour class is a singleton, the one colour-preserving
-    bijection is the only candidate: it is built directly and is an
-    isomorphism iff the two lattices have equal numbers of covers and it
-    maps every cover of l1 to a cover of l2, an O(|covers|) check made here
-    whatever the refinement returned.  Otherwise a backtracking search
-    assigns elements in height order, so when x is placed all its lower
-    covers are already mapped; matching them bijectively onto the
-    candidate's lower covers is exactly cover preservation in both
-    directions.  Both routes yield the same maps in the same order.
-    """
-    if l1.size != l2.size or sorted(l1.height) != sorted(l2.height):
-        return
-    refined = _joint_refinement(l1, l2)
-    if refined is None:
-        return
-    c1, c2 = refined
-    if pinned:
-        for x, y in pinned.items():
-            if c1[x] != c2[y]:
-                return
-    if len(set(c1)) == l1.size:
-        # a pinned x has the one y of its colour, checked above
-        image = dict(zip(c2, range(l2.size)))
-        mapping = tuple([image.get(c, -1) for c in c1])
-        covers = l2.covers
-        if (-1 not in mapping and len(l1.covers) == len(covers)
-                and all((mapping[a], mapping[b]) in covers for a, b in l1.covers)):
-            yield mapping
-        return
-
-    class_size = Counter(c1)
-    members: dict[int, list[int]] = {}
-    for y, c in enumerate(c2):
-        members.setdefault(c, []).append(y)
-    order = sorted(range(l1.size), key=lambda x: (l1.height[x], class_size[c1[x]], x))
-    candidates = [
-        [pinned[x]] if pinned and x in pinned else members.get(c1[x], [])
-        for x in order
-    ]
-    mapping = [-1] * l1.size
-    used = [False] * l2.size
-    found = 0
-
-    def place(k: int) -> Iterator[tuple[int, ...]]:
-        nonlocal found
-        if k == len(order):
-            found += 1
-            yield tuple(mapping)
-            return
-        x = order[k]
-        down_x = l1.covers_down[x]
-        for y in candidates[k]:
-            if used[y]:
-                continue
-            if any(not l2.is_cover(mapping[u], y) for u in down_x):
-                continue
-            mapping[x] = y
-            used[y] = True
-            yield from place(k + 1)
-            used[y] = False
-            mapping[x] = -1
-            if limit is not None and found >= limit:
-                return
-
-    yield from place(0)
-
-
-def find_isomorphism(l1: FiniteLattice, l2: FiniteLattice) -> tuple[int, ...] | None:
-    """A witness order isomorphism as a tuple (image of each element), or
-    None.  Raises TooLarge above ISOMORPHISM_CAP elements."""
-    if max(l1.size, l2.size) > ISOMORPHISM_CAP:
-        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
-    for mapping in _search_isomorphisms(l1, l2, limit=1):
-        return mapping
-    return None
-
-
-def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
-    return find_isomorphism(l1, l2) is not None
-
-
-def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
-    """All order automorphisms (cached on the lattice).  Raises TooLarge
-    above ISOMORPHISM_CAP elements, and as soon as the search finds more
-    than AUTOMORPHISMS_CAP automorphisms."""
-    if lattice.size > ISOMORPHISM_CAP:
-        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
-    def compute():
-        search = _search_isomorphisms(lattice, lattice, limit=None)
-        autos = tuple(itertools.islice(search, AUTOMORPHISMS_CAP + 1))
-        if len(autos) > AUTOMORPHISMS_CAP:
-            raise TooLarge(f"more than {AUTOMORPHISMS_CAP} automorphisms")
-        return autos
-    return _cached(lattice, "automorphisms", compute)
-
-
-def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:
-    """True iff some lattice isomorphism maps left chain to left chain and
-    right chain to right chain."""
-    if len(d1.left_chain) != len(d2.left_chain):
-        return False
-    pinned: dict[int, int] = {}
-    for x, y in itertools.chain(zip(d1.left_chain, d2.left_chain),
-                                zip(d1.right_chain, d2.right_chain)):
-        if pinned.setdefault(x, y) != y:
-            return False
-    for _ in _search_isomorphisms(d1.lattice, d2.lattice, pinned=pinned, limit=1):
-        return True
-    return False
-
-
 # -- bordered diagrams --------------------------------------------------------
 
 class BorderedDiagram(_Frozen):
@@ -634,9 +473,18 @@ class BorderedDiagram(_Frozen):
         missing = [x for x in join_irreducibles(lattice) if x not in boundary]
         if missing:
             raise InvalidDiagram(f"join-irreducibles {missing} not on either chain")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "left_chain", left_chain)
-        object.__setattr__(self, "right_chain", right_chain)
+        _Frozen.__init__(self, lattice, left_chain, right_chain)
+
+    @classmethod
+    def _trusted(cls, lattice: FiniteLattice, left_chain: tuple[int, ...],
+                 right_chain: tuple[int, ...]) -> "BorderedDiagram":
+        """A diagram its caller already knows to be one, without the checks:
+        both chains run from bottom to top through covers and together hold
+        every join-irreducible, as for the chains extract._assemble joins
+        after walking them from covers."""
+        self = cls.__new__(cls)
+        _Frozen.__init__(self, lattice, left_chain, right_chain)
+        return self
 
     @property
     def n(self) -> int:
@@ -738,3 +586,21 @@ def to_dot(lattice: FiniteLattice, labels: dict[int, str] | None = None,
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- names from slimlat.iso ------------------------------------------------------
+
+# The isomorphism section's public names, which resolve from slimlat.iso on
+# first use as the package's exports do, so that build and extract, which
+# never compare lattices, never compile it.
+_ISO_NAMES = frozenset(("ISOMORPHISM_CAP", "AUTOMORPHISMS_CAP", "interval_sublattice",
+                        "find_isomorphism", "is_isomorphic", "automorphisms",
+                        "boundarily_similar"))
+
+
+def __getattr__(name: str):
+    if name not in _ISO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from slimlat import iso
+    value = globals()[name] = getattr(iso, name)
+    return value

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import itertools
 
+from slimlat import iso
 from slimlat import lattice as _lattice
 from slimlat.grid import Grid
-from slimlat.lattice import (automorphisms, dual, interval_sublattice, is_slim,
-                             join_irreducibles, narrows)
+from slimlat.iso import automorphisms, interval_sublattice
+from slimlat.lattice import dual, is_slim, join_irreducibles, narrows
 
 
 def closed(images, lo, hi):
@@ -397,13 +398,13 @@ def chain_pair_by_component_colouring(lattice, lo, hi):
 
 def isomorphisms_by_backtracking(l1, l2, pinned=None, limit=1):
     """Order isomorphisms l1 -> l2 by backtracking over the classes of
-    lattice._joint_refinement, singleton classes included: elements in
+    iso._joint_refinement, singleton classes included: elements in
     order of (height, class size, id), each tried against the members of
     its class (or its pinned image) in ascending order, and kept when its
     lower covers map onto lower covers of the candidate."""
     if l1.size != l2.size or sorted(l1.height) != sorted(l2.height):
         return
-    refined = _lattice._joint_refinement(l1, l2)
+    refined = iso._joint_refinement(l1, l2)
     if refined is None:
         return
     c1, c2 = refined
@@ -493,7 +494,7 @@ def trial_division_is_prime(p):
 
 
 def joint_refinement_by_sorted_sweeps(l1, l2):
-    """lattice._joint_refinement as it was before it skipped sorting short
+    """iso._joint_refinement as it was before it skipped sorting short
     cover lists: the same sweeps, palette and stopping rule, with every
     key built from a sorted list of the covers' new colours."""
     palette = {}

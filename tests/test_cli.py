@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimlat import cli, extract, grid, lattice, perm
+from slimlat import cli, extract, grid, lattice, perm, verify
 from slimlat.cli import main, parse_permutation
 from slimlat.perm import Permutation
 
@@ -346,7 +346,7 @@ class TestVerify:
         assert report["passed"] is True
         assert all(check["passed"] for check in report["checks"])
         names = {check["name"] for check in report["checks"]}
-        assert names >= set(cli.BUNDLE_CHECKS) | {"pairwise_iso", "diagram_count",
+        assert names >= set(verify.BUNDLE_CHECKS) | {"pairwise_iso", "diagram_count",
                                                   "group_realization", "class_counts",
                                                   "random_round_trip"}
         assert "PASS" in err
@@ -356,7 +356,7 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"] is True
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_check_bundle", lambda task: ["round_trip"])
+        monkeypatch.setattr(verify, "_check_bundle", lambda task: ["round_trip"])
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 1
         report = json.loads(out)
@@ -379,7 +379,7 @@ class TestVerify:
         # the production involution rule, inverted
         (extract, "is_involution_on", lambda rule: lambda *args: not rule(*args)),
         # the search side, finding no swapping automorphism anywhere
-        (cli, "_reflection_similar", lambda rule: lambda *args: False),
+        (verify, "_reflection_similar", lambda rule: lambda *args: False),
     ])
     def test_diagram_count_catches_a_wrong_side(self, capsys, monkeypatch, module, name, wrong):
         monkeypatch.setattr(module, name, wrong(getattr(module, name)))
@@ -399,7 +399,7 @@ class TestVerify:
         # one worker runs the bundles in-process; the pool gives the same report
         reports = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda workers=workers: workers)
+            monkeypatch.setattr(verify, "_usable_cpus", lambda workers=workers: workers)
             _, out, err = run(capsys, "verify", "--n", "5")
             assert f"with {workers} worker(s)" in err
             report = json.loads(out)
@@ -420,10 +420,10 @@ class TestVerify:
         # the suite checks run in the bundle pool; a raising one keeps its
         # place and message, and a lambda in its place need not pickle
         if check is not None:
-            monkeypatch.setattr(cli, check, lambda *args: 1 / 0)
+            monkeypatch.setattr(verify, check, lambda *args: 1 / 0)
         reports = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda workers=workers: workers)
+            monkeypatch.setattr(verify, "_usable_cpus", lambda workers=workers: workers)
             code, out, err = run(capsys, "verify", "--n", "4")
             assert f"with {workers} worker(s)" in err
             report = json.loads(out)
@@ -435,14 +435,14 @@ class TestVerify:
         if check is None:
             assert code == 0 and failed == []
         else:
-            assert code == 1 and failed == [(len(cli.BUNDLE_CHECKS) + position,
+            assert code == 1 and failed == [(len(verify.BUNDLE_CHECKS) + position,
                                              "raised ZeroDivisionError: division by zero")]
 
     def test_injected_fault_in_a_pool_worker_fails(self, capsys, monkeypatch):
         parent = os.getpid()
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         # fails only where it runs outside this process, and only at size 3
-        monkeypatch.setattr(cli, "_check_bundle", lambda task: (
+        monkeypatch.setattr(verify, "_check_bundle", lambda task: (
             ["structural"] if task[0] == 3 and os.getpid() != parent else []))
         code, out, err = run(capsys, "verify", "--n", "3")
         assert code == 1 and "with 2 worker(s)" in err
@@ -453,12 +453,12 @@ class TestVerify:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_raising_bundle_check_fails_alone(self, capsys, monkeypatch, workers):
         # regenerate now raises HypothesisViolated for every congruence
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(grid, "is_cover_preserving", lambda kappa: False)
         code, out, err = run(capsys, "verify", "--n", "3")
         assert code == 1 and f"with {workers} worker(s)" in err
         checks = json.loads(out)["checks"]
-        assert len(checks) == len(cli.BUNDLE_CHECKS) + 5
+        assert len(checks) == len(verify.BUNDLE_CHECKS) + 5
         assert [(c["name"], c["details"]) for c in checks if not c["passed"]] == [
             ("source_cells_regenerate", "9 failures, first at (1, (1,))")]
 
@@ -469,14 +469,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "3")
         assert code == 1
         report = json.loads(out)
-        assert report["passed"] is False and len(report["checks"]) == len(cli.BUNDLE_CHECKS) + 5
+        assert report["passed"] is False and len(report["checks"]) == len(verify.BUNDLE_CHECKS) + 5
         assert [(c["name"], c["scale"], c["details"]) for c in report["checks"] if not c["passed"]] == [
             ("pairwise_iso", 3, "raised RuntimeError: injected"),
             ("group_realization", 3, "raised RuntimeError: injected")]
 
     @pytest.mark.parametrize("n_max, scale", [(9, 11), (10, 12), (40, 32)])
     def test_random_round_trip_always_draws(self, n_max, scale):
-        check = cli._check_random_round_trip(n_max, 0)
+        check = verify._check_random_round_trip(n_max, 0)
         assert check["passed"] is True
         assert check["details"] == "10 random permutations (seed 0)"
         assert check["scale"] == scale

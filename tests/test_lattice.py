@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from slimlat import grid, groups, lattice
+from slimlat import grid, groups, iso, lattice
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation
 
@@ -159,6 +159,34 @@ class TestBounds:
                 assert (lat.bottom, lat.top) == want
         # least and greatest, least only, greatest only, neither
         assert min(kinds[k] for k in itertools.product((True, False), repeat=2)) >= 50
+
+    def test_cover_pairs_decide_like_naive_tables(self, monkeypatch):
+        # the cover-pair test alone: the scan it falls back on only records
+        scanned = []
+        monkeypatch.setattr(FiniteLattice, "_scan_bounds", lambda self: scanned.append(self))
+        rng = random.Random(18)
+        rejected = 0
+        for _ in range(2000):
+            size, covers = reduced_dag(rng, rng.randrange(3, 11), True, True)
+            scanned.clear()
+            joins, meets = oracles.naive_bound_tables(FiniteLattice(size, covers))
+            is_lattice = not any(None in row for row in joins + meets)
+            assert is_lattice != bool(scanned), covers
+            rejected += not is_lattice
+        assert rejected >= 300  # 397
+
+    def test_valid_input_never_runs_the_scan(self, monkeypatch):
+        def scan(self):
+            raise AssertionError("all-pairs scan")
+
+        built = [grid.phi0(Permutation(images)).lattice
+                 for n in range(7) for images in itertools.permutations(range(1, n + 1))]
+        reversal = lattice.diagram_to_json(grid.phi0(Permutation(tuple(range(96, 0, -1)))))
+        monkeypatch.setattr(FiniteLattice, "_scan_bounds", scan)
+        for lat in built:
+            for each in (lat, lattice.dual(lat)):
+                assert lattice.from_covers(each.size, each.covers) == each
+        assert lattice.diagram_from_json(reversal).lattice.size == 96 * 97 // 2 + 1
 
 
 class TestTrustedBuilders:
@@ -353,7 +381,7 @@ class TestIsomorphism:
         big = lattice.chain(201)
         with pytest.raises(lattice.TooLarge):
             lattice.is_isomorphic(big, big)
-        monkeypatch.setattr(lattice, "ISOMORPHISM_CAP", 300)
+        monkeypatch.setattr(iso, "ISOMORPHISM_CAP", 300)
         assert lattice.is_isomorphic(big, big)
 
     def test_automorphisms_of_b2(self):
@@ -431,7 +459,7 @@ class TestJointRefinement:
     def test_sweeps_match_rounds(self):
         for l1, l2, _, _ in refinement_corpus():
             rounds = oracles.joint_refinement_by_rounds(l1, l2)
-            sweeps = lattice._joint_refinement(l1, l2)
+            sweeps = iso._joint_refinement(l1, l2)
             if rounds is not None and Counter(rounds[0]) == Counter(rounds[1]):
                 assert sweeps is not None
                 assert joint_partition(sweeps) == joint_partition(rounds)
@@ -441,7 +469,7 @@ class TestJointRefinement:
                 # candidate map the search rejects
                 assert sweeps is None or (
                     len(set(sweeps[0])) == l1.size
-                    and next(lattice._search_isomorphisms(l1, l2), None) is None)
+                    and next(iso._search_isomorphisms(l1, l2), None) is None)
 
     def test_colours_match_sorting_every_cover_list(self):
         # bit-identical colour vectors, on the corpus and on phi0 lattices
@@ -459,7 +487,7 @@ class TestJointRefinement:
                 pairs.append((lat, grid.phi0(Permutation(images).inverse()).lattice))
         assert max(len(below) for l1, _ in pairs for below in l1.covers_down) > 2
         for l1, l2 in pairs:
-            assert lattice._joint_refinement(l1, l2) == oracles.joint_refinement_by_sorted_sweeps(l1, l2)
+            assert iso._joint_refinement(l1, l2) == oracles.joint_refinement_by_sorted_sweeps(l1, l2)
 
     def test_searches_unchanged_with_rounds(self, monkeypatch):
         corpus = list(refinement_corpus())
@@ -475,7 +503,7 @@ class TestJointRefinement:
             return out
 
         sweeps = answers()
-        monkeypatch.setattr(lattice, "_joint_refinement", oracles.joint_refinement_by_rounds)
+        monkeypatch.setattr(iso, "_joint_refinement", oracles.joint_refinement_by_rounds)
         assert answers() == sweeps
 
 
@@ -495,7 +523,7 @@ class TestSingletonShortcut:
     def test_witnesses_match_backtracking(self):
         singleton = 0
         for l1, l2, d1, d2 in refinement_corpus():
-            refined = lattice._joint_refinement(l1, l2)
+            refined = iso._joint_refinement(l1, l2)
             if refined is not None and len(set(refined[0])) == l1.size:
                 singleton += 1
             expected = next(oracles.isomorphisms_by_backtracking(l1, l2), None)
@@ -517,7 +545,7 @@ class TestSingletonShortcut:
     def test_stub_singletons_on_non_isomorphic_lattices_yield_nothing(self, monkeypatch):
         # B2 with a top added: the heights of N5, and not isomorphic to it
         b2_top = FiniteLattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-        monkeypatch.setattr(lattice, "_joint_refinement",
+        monkeypatch.setattr(iso, "_joint_refinement",
                             lambda l1, l2: (list(range(l1.size)), list(range(l2.size))))
         assert lattice.find_isomorphism(N5, b2_top) is None
         assert lattice.find_isomorphism(b2_top, N5) is None
@@ -536,7 +564,7 @@ class TestSingletonShortcut:
                  "foreign colours": [4, 5, 6, 7]}
         found = {}
         for name, c2 in stubs.items():
-            monkeypatch.setattr(lattice, "_joint_refinement",
+            monkeypatch.setattr(iso, "_joint_refinement",
                                 lambda l1, l2, c2=c2: ([0, 1, 2, 3], list(c2)))
             found[name] = lattice.find_isomorphism(B2, B2)
         assert found == {"swap atoms": (0, 2, 1, 3), "bottom to top": None,
