@@ -488,7 +488,9 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     the images of the two grid boundary chains.
 
     The closed form is the closure of pi's cells (``beta_from_perm`` checks
-    it), a join-congruence, so its block tops give the lattice unvalidated.
+    it), a join-congruence, so its block tops give the lattice unvalidated;
+    no boundary edge collapses and every join-irreducible lies on the
+    boundary, so the boundary images give the diagram unvalidated too.
     The result is a slim semimodular lattice of length n; this map is a
     bijection onto bordered diagrams of such lattices, inverted by
     :func:`slimlat.extract.extract_permutation`.
@@ -497,7 +499,7 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     labels = _formula_labels(n, pi.images)
     lattice = _lattice_from_tops(n, labels, *_top_coordinates(n, labels))
     side = n + 1
-    return BorderedDiagram(lattice, labels[::side], labels[:side])
+    return BorderedDiagram._trusted(lattice, labels[::side], labels[:side])
 
 
 def heuristic_layout(pi: Permutation, lattice: FiniteLattice | None = None

@@ -1,6 +1,7 @@
-"""Lattice isomorphism: the joint refinement of two lattices, the search for
-order isomorphisms it narrows, automorphisms, boundary similarity of
-bordered diagrams, and intervals as lattices of their own.
+"""Lattice isomorphism: the joint refinement of two lattices, the
+individualization-refinement search for order isomorphisms built on it,
+automorphisms, boundary similarity of bordered diagrams, and intervals as
+lattices of their own.
 
 build and extract never compare lattices, so this module stays out of their
 runs; slimlat.lattice resolves its public names from here on first use.
@@ -9,21 +10,25 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice, TooLarge, _cached
 
-# The largest lattice size find_isomorphism and is_isomorphic accept.  On a
-# 2-vCPU VM they take 0.1-2 ms against a relabelled copy of a phi0 lattice of
-# 182 or 191 elements, the 200-chain, M_198, 2^7 or the 14 x 14 grid.  The
-# search stays exponential where refinement splits nothing: on two random
-# 28-element incidence lattices of 13 points and 13 lines (3 points on each
-# line, 3 lines through each point) it ran over 120 s.
-ISOMORPHISM_CAP = 200
-# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it took
-# 0.31 s for the 8! of M_8 (10 elements) and never returned on the 12! of M_12;
-# the cap refuses both within 40 ms.  A phi0 lattice with k glued-sum components
-# has at most 2^k, and perfbench's traced replay asks for at most 64.
+# The most nodes, the root and one per individualization, that one search
+# visits before it raises TooLarge: the least power of two that lists the
+# 4,096 automorphisms of the glued sum of 12 squares (8,191 nodes).  Against
+# a shuffled copy, on a busy 2-vCPU VM: the cyclic 13_3 configurations take
+# 3 nodes (isomorphic) or 14 (not) in 0.4-3 ms, phi0 of the reversal 2 nodes
+# in 18-45 ms at n = 96 and 33-60 ms at n = 128, and M_1200 1,200 nodes in
+# 8-20 ms.  A node costs at most one refinement, 25-45 ms at the 8,257
+# elements lattice_from_json admits, so a search there refuses within about
+# 6 minutes; M_8255 refuses in 0.3-0.5 s.
+ISOMORPHISM_NODE_CAP = 8192
+# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it
+# takes 0.3 s for the 8! of M_8 (10 elements) and would not return on the 12!
+# of M_12; the cap refuses both within 30-40 ms, M_12 after 7,047 nodes.  A phi0
+# lattice with k glued-sum components has at most 2^k, and perfbench's traced
+# replay asks for at most 64.
 AUTOMORPHISMS_CAP = 4096
 
 
@@ -46,11 +51,12 @@ def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
 
 # -- isomorphism -------------------------------------------------------------
 
-def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
+def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice, start: Sequence[Iterable] | None = None
                       ) -> tuple[list[int], list[int]] | None:
     """The coarsest equitable partition of both lattices together that
-    refines (height, number of lower covers, number of upper covers), as
-    colour vectors; None once the two sides' class sizes differ.
+    refines start, as colour vectors; None once the two sides' class sizes
+    differ.  start holds one hashable key per element of each lattice, by
+    default (height, number of lower covers, number of upper covers).
 
     Sweeps alternate upward and downward along the linear extension.  A
     sweep recolours each element from its own colour and the new colours of
@@ -65,8 +71,10 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
     palette: dict = {}
     recolour = palette.setdefault
     lattices = (l1, l2)
-    colours = [[recolour(key, len(palette)) for key in zip(
-        lat.height, map(len, lat.covers_down), map(len, lat.covers_up))] for lat in lattices]
+    if start is None:
+        start = [zip(lat.height, map(len, lat.covers_down), map(len, lat.covers_up))
+                 for lat in lattices]
+    colours = [[recolour(key, len(palette)) for key in keys] for keys in start]
     classes, calm, upward = 0, 0, True
     while True:
         c1, c2 = colours
@@ -96,86 +104,80 @@ def _joint_refinement(l1: FiniteLattice, l2: FiniteLattice
 
 
 def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
-                         pinned: dict[int, int] | None = None,
-                         limit: int | None = 1) -> Iterator[tuple[int, ...]]:
-    """Order isomorphisms l1 -> l2 that preserve the joint refinement's
-    colours and the pinned pairs.
+                         pinned: dict[int, int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Order isomorphisms l1 -> l2 that map each pinned x to pinned[x], by
+    individualization and refinement on an explicit stack.
 
-    When every colour class is a singleton, the one colour-preserving
-    bijection is the only candidate: it is built directly and is an
-    isomorphism iff the two lattices have equal numbers of covers and it
-    maps every cover of l1 to a cover of l2, an O(|covers|) check made here
-    whatever the refinement returned.  Otherwise a backtracking search
-    assigns elements in height order, so when x is placed all its lower
-    covers are already mapped; matching them bijectively onto the
-    candidate's lower covers is exactly cover preservation in both
-    directions.  Both routes yield the same maps in the same order.
+    The root refines both lattices jointly, each pin a starting colour of its
+    own.  At a node whose classes are all singletons, pairing the colours
+    gives the one candidate, an isomorphism iff it maps the covers of l1 onto
+    those of l2 and keeps the pins, checked whatever the refinement did.  Any
+    other node takes the first x in the order (height, class size at the
+    root, id) whose class is not a singleton, and for each y of x's colour in
+    l2, ascending, gives x and y a fresh colour and refines again, so the maps
+    come out in lexicographic order of their images in that order.  When
+    every cover of x (and so of y) is a singleton, the colouring stays
+    equitable and the refinement is skipped.  Past ISOMORPHISM_NODE_CAP
+    nodes (the root and one per individualization) it raises TooLarge.
     """
-    if l1.size != l2.size or sorted(l1.height) != sorted(l2.height):
+    size = l1.size
+    if size != l2.size or sorted(l1.height) != sorted(l2.height):
         return
-    refined = _joint_refinement(l1, l2)
-    if refined is None:
-        return
-    c1, c2 = refined
+    start = None
     if pinned:
-        for x, y in pinned.items():
-            if c1[x] != c2[y]:
-                return
-    if len(set(c1)) == l1.size:
-        # a pinned x has the one y of its colour, checked above
-        image = dict(zip(c2, range(l2.size)))
-        mapping = tuple([image.get(c, -1) for c in c1])
-        covers = l2.covers
-        if (-1 not in mapping and len(l1.covers) == len(covers)
-                and all((mapping[a], mapping[b]) in covers for a, b in l1.covers)):
-            yield mapping
+        tags = [{x: k for k, x in enumerate(side)} for side in (pinned, pinned.values())]
+        start = [[(*key, tag.get(x, -1)) for x, key in enumerate(zip(
+            lat.height, map(len, lat.covers_down), map(len, lat.covers_up)))]
+            for lat, tag in zip((l1, l2), tags)]
+    root = _joint_refinement(l1, l2, start)
+    if root is None:
         return
+    nodes, order = 1, []
 
-    class_size = Counter(c1)
-    members: dict[int, list[int]] = {}
-    for y, c in enumerate(c2):
-        members.setdefault(c, []).append(y)
-    order = sorted(range(l1.size), key=lambda x: (l1.height[x], class_size[c1[x]], x))
-    candidates = [
-        [pinned[x]] if pinned and x in pinned else members.get(c1[x], [])
-        for x in order
-    ]
-    mapping = [-1] * l1.size
-    used = [False] * l2.size
-    found = 0
+    def children(c1, c2, sizes, k):
+        nonlocal nodes, order
+        # sorted when the root, the first node to branch, branches
+        order = order or sorted(range(size), key=lambda x: (l1.height[x], sizes[c1[x]], x))
+        while sizes[c1[order[k]]] == 1:
+            k += 1
+        x, y = order[k], -1
+        colour = c1[x]
+        settled = all(sizes[c1[u]] == 1 for u in (*l1.covers_down[x], *l1.covers_up[x]))
+        for _ in range(sizes[colour]):
+            y = c2.index(colour, y + 1)
+            nodes += 1
+            if nodes > ISOMORPHISM_NODE_CAP:
+                raise TooLarge(f"the isomorphism search exceeds {ISOMORPHISM_NODE_CAP} nodes")
+            # split in place, undone once the child's subtree is searched;
+            # the refinement's colours are never negative
+            fresh = c1[x] = c2[y] = -nodes
+            if settled:
+                sizes[colour], sizes[fresh] = sizes[colour] - 1, 1
+                yield c1, c2, sizes, k
+                sizes[colour] += sizes.pop(fresh)
+            elif (refined := _joint_refinement(l1, l2, (c1, c2))) is not None:
+                yield *refined, Counter(refined[0]), k
+            c1[x] = c2[y] = colour
 
-    def place(k: int) -> Iterator[tuple[int, ...]]:
-        nonlocal found
-        if k == len(order):
-            found += 1
-            yield tuple(mapping)
-            return
-        x = order[k]
-        down_x = l1.covers_down[x]
-        for y in candidates[k]:
-            if used[y]:
-                continue
-            if any(not l2.is_cover(mapping[u], y) for u in down_x):
-                continue
-            mapping[x] = y
-            used[y] = True
-            yield from place(k + 1)
-            used[y] = False
-            mapping[x] = -1
-            if limit is not None and found >= limit:
-                return
-
-    yield from place(0)
+    stack = [iter([(*root, Counter(root[0]), 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(node[2]) < size:
+            stack.append(children(*node))
+        else:
+            image = dict(zip(node[1], range(size)))
+            mapping = tuple(map(image.get, node[0]))
+            if (None not in mapping and all(mapping[x] == y for x, y in (pinned or {}).items())
+                    and l2.covers == {(mapping[a], mapping[b]) for a, b in l1.covers}):
+                yield mapping
 
 
 def find_isomorphism(l1: FiniteLattice, l2: FiniteLattice) -> tuple[int, ...] | None:
     """A witness order isomorphism as a tuple (image of each element), or
-    None.  Raises TooLarge above ISOMORPHISM_CAP elements."""
-    if max(l1.size, l2.size) > ISOMORPHISM_CAP:
-        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
-    for mapping in _search_isomorphisms(l1, l2, limit=1):
-        return mapping
-    return None
+    None.  Raises TooLarge past ISOMORPHISM_NODE_CAP search nodes."""
+    return next(_search_isomorphisms(l1, l2), None)
 
 
 def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
@@ -183,13 +185,11 @@ def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
 
 
 def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
-    """All order automorphisms (cached on the lattice).  Raises TooLarge
-    above ISOMORPHISM_CAP elements, and as soon as the search finds more
-    than AUTOMORPHISMS_CAP automorphisms."""
-    if lattice.size > ISOMORPHISM_CAP:
-        raise TooLarge(f"size exceeds the isomorphism cap {ISOMORPHISM_CAP}")
+    """All order automorphisms (cached on the lattice).  Raises TooLarge as
+    soon as the search finds more than AUTOMORPHISMS_CAP automorphisms or
+    passes ISOMORPHISM_NODE_CAP nodes."""
     def compute():
-        search = _search_isomorphisms(lattice, lattice, limit=None)
+        search = _search_isomorphisms(lattice, lattice)
         autos = tuple(itertools.islice(search, AUTOMORPHISMS_CAP + 1))
         if len(autos) > AUTOMORPHISMS_CAP:
             raise TooLarge(f"more than {AUTOMORPHISMS_CAP} automorphisms")
@@ -207,6 +207,4 @@ def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:
                                 zip(d1.right_chain, d2.right_chain)):
         if pinned.setdefault(x, y) != y:
             return False
-    for _ in _search_isomorphisms(d1.lattice, d2.lattice, pinned=pinned, limit=1):
-        return True
-    return False
+    return next(_search_isomorphisms(d1.lattice, d2.lattice, pinned), None) is not None

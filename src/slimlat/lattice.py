@@ -480,8 +480,8 @@ class BorderedDiagram(_Frozen):
                  right_chain: tuple[int, ...]) -> "BorderedDiagram":
         """A diagram its caller already knows to be one, without the checks:
         both chains run from bottom to top through covers and together hold
-        every join-irreducible, as for the chains extract._assemble joins
-        after walking them from covers."""
+        every join-irreducible, as for the chains extract._assemble walks
+        from covers and the grid boundary images grid.phi0 takes."""
         self = cls.__new__(cls)
         _Frozen.__init__(self, lattice, left_chain, right_chain)
         return self
@@ -593,7 +593,7 @@ def to_dot(lattice: FiniteLattice, labels: dict[int, str] | None = None,
 # The isomorphism section's public names, which resolve from slimlat.iso on
 # first use as the package's exports do, so that build and extract, which
 # never compare lattices, never compile it.
-_ISO_NAMES = frozenset(("ISOMORPHISM_CAP", "AUTOMORPHISMS_CAP", "interval_sublattice",
+_ISO_NAMES = frozenset(("ISOMORPHISM_NODE_CAP", "AUTOMORPHISMS_CAP", "interval_sublattice",
                         "find_isomorphism", "is_isomorphic", "automorphisms",
                         "boundarily_similar"))
 

@@ -522,12 +522,14 @@ def joint_refinement_by_sorted_sweeps(l1, l2):
         upward = not upward
 
 
-def joint_refinement_by_rounds(l1, l2):
+def joint_refinement_by_rounds(l1, l2, start=None):
     """Colour refinement of both lattices in rounds with a shared palette:
     each round recolours every element at once from its colour and the
     sorted colours of its lower and of its upper covers, until neither
-    lattice gains a class.  Returns the two colour vectors, or None as soon
-    as the two histograms differ before a round."""
+    lattice gains a class.  The colours start from start's keys, by default
+    (height, number of lower covers, number of upper covers).  Returns the
+    two colour vectors, or None as soon as the two histograms differ before
+    a round."""
     def seed(lat):
         return [(lat.height[x], len(lat.covers_down[x]), len(lat.covers_up[x]))
                 for x in range(lat.size)]
@@ -538,7 +540,7 @@ def joint_refinement_by_rounds(l1, l2):
             out[c] = out.get(c, 0) + 1
         return out
 
-    c1, c2 = seed(l1), seed(l2)
+    c1, c2 = (seed(l1), seed(l2)) if start is None else map(list, start)
     while True:
         if histogram(c1) != histogram(c2):
             return None

@@ -183,10 +183,13 @@ class TestDiagramsOf:
         assert len(diagrams) == 4096 == len(set(chains_of(diagrams)))
 
     def test_assembles_what_the_validating_constructor_accepts(self):
-        # diagrams_of builds its diagrams without BorderedDiagram's checks
+        # diagrams_of and phi0 build their diagrams without BorderedDiagram's checks
         for n in range(0, 8):
             for pi in all_perms(n):
-                for d in extract.diagrams_of(grid.phi0(pi).lattice):
+                built = grid.phi0(pi)
+                assert built == BorderedDiagram(built.lattice, built.left_chain,
+                                                built.right_chain), pi
+                for d in extract.diagrams_of(built.lattice):
                     assert d == BorderedDiagram(d.lattice, d.left_chain, d.right_chain), pi
 
     def test_matches_search_oracle_exhaustive(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 
@@ -377,13 +378,6 @@ class TestIsomorphism:
         for a, b in itertools.combinations(sample, 2):
             assert lattice.is_isomorphic(a, b) == lattice.is_isomorphic(b, a)
 
-    def test_too_large(self, monkeypatch):
-        big = lattice.chain(201)
-        with pytest.raises(lattice.TooLarge):
-            lattice.is_isomorphic(big, big)
-        monkeypatch.setattr(iso, "ISOMORPHISM_CAP", 300)
-        assert lattice.is_isomorphic(big, big)
-
     def test_automorphisms_of_b2(self):
         autos = lattice.automorphisms(B2)
         assert len(autos) == 2  # identity and the atom swap
@@ -407,9 +401,74 @@ class TestIsomorphism:
             lattice.automorphisms(self.m_n(12))  # 479,001,600 automorphisms
         assert time.process_time() - started < 0.1
 
-    def test_automorphisms_refuse_past_the_size_cap(self):
-        with pytest.raises(lattice.TooLarge, match="isomorphism cap"):
-            lattice.automorphisms(lattice.chain(lattice.ISOMORPHISM_CAP))
+
+class TestSearchBudget:
+    """The isomorphism search under a lowered node cap: each test states how
+    many nodes (the root and one per individualization) a case needs."""
+
+    @staticmethod
+    def relabelled(lat, seed):
+        """lat with its elements renumbered by a seeded shuffle."""
+        ids = list(range(lat.size))
+        random.Random(seed).shuffle(ids)
+        covers_up = [()] * lat.size
+        for x, ups in enumerate(lat.covers_up):
+            covers_up[ids[x]] = sorted(ids[y] for y in ups)
+        return FiniteLattice._from_covers_up(covers_up, [ids[x] for x in lat._order])
+
+    @staticmethod
+    def configuration(line):
+        """A bottom, 13 atoms, 13 coatoms and a top, where coatom i covers
+        the atoms i + s mod 13 for s in line.  For line (0, 1, 4) or (0, 1, 3)
+        that is a cyclic 13_3 configuration: every atom and every coatom has
+        three covers on each side, so refinement alone splits nothing."""
+        return FiniteLattice(28, [(0, a) for a in range(1, 14)]
+                             + [(1 + (i + s) % 13, 14 + i) for i in range(13) for s in line]
+                             + [(c, 27) for c in range(14, 27)])
+
+    @staticmethod
+    def assert_witness(l1, l2, mapping):
+        assert mapping is not None and sorted(mapping) == list(range(l1.size))
+        assert all(l2.is_cover(mapping[a], mapping[b]) for a, b in l1.covers)
+
+    def test_configurations_within_64_nodes(self, monkeypatch):
+        # the isomorphic pairs take 3 nodes; the others, told apart by their
+        # triangles (13 against 26), fail at the root's 13 children
+        monkeypatch.setattr(iso, "ISOMORPHISM_NODE_CAP", 64)
+        cyclic = self.configuration((0, 1, 4))
+        for seed in range(3):
+            copy = self.relabelled(cyclic, seed)
+            self.assert_witness(cyclic, copy, lattice.find_isomorphism(cyclic, copy))
+            other = self.relabelled(self.configuration((0, 1, 3)), seed)
+            assert not lattice.is_isomorphic(cyclic, other)
+            assert not lattice.is_isomorphic(other, cyclic)
+
+    def test_isomorphic_configurations_past_the_cap_refuse(self, monkeypatch):
+        # a point's stabiliser in the automorphism group has order 3, so
+        # one individualization leaves classes to split and a third node is needed
+        monkeypatch.setattr(iso, "ISOMORPHISM_NODE_CAP", 2)
+        cyclic = self.configuration((0, 1, 4))
+        with pytest.raises(lattice.TooLarge, match="exceeds 2 nodes"):
+            lattice.find_isomorphism(cyclic, self.relabelled(cyclic, 0))
+
+    def test_reversal_at_n96_in_two_nodes(self, monkeypatch):
+        # 4,657 elements; refinement leaves the pairs of the mirror symmetry,
+        # and one individualization splits them all
+        monkeypatch.setattr(iso, "ISOMORPHISM_NODE_CAP", 2)
+        lat = grid.phi0(Permutation(tuple(range(96, 0, -1)))).lattice
+        copy = self.relabelled(lat, 96)
+        self.assert_witness(lat, copy, lattice.find_isomorphism(lat, copy))
+
+    def test_deeper_than_the_recursion_limit(self, monkeypatch):
+        # M_1200 against a shuffled copy: the root and 1,199 individualized atoms
+        k = 1200
+        assert k > sys.getrecursionlimit()
+        monkeypatch.setattr(iso, "ISOMORPHISM_NODE_CAP", k)
+        # unvalidated: the validating constructor makes k(k - 1)/2 cover-pair tests
+        m_k = FiniteLattice._from_covers_up(
+            [list(range(1, k + 1))] + [[k + 1]] * k + [[]], range(k + 2))
+        copy = self.relabelled(m_k, k)
+        self.assert_witness(m_k, copy, lattice.find_isomorphism(m_k, copy))
 
 
 def boolean_lattice(k):
@@ -546,7 +605,7 @@ class TestSingletonShortcut:
         # B2 with a top added: the heights of N5, and not isomorphic to it
         b2_top = FiniteLattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
         monkeypatch.setattr(iso, "_joint_refinement",
-                            lambda l1, l2: (list(range(l1.size)), list(range(l2.size))))
+                            lambda l1, l2, start=None: (list(range(l1.size)), list(range(l2.size))))
         assert lattice.find_isomorphism(N5, b2_top) is None
         assert lattice.find_isomorphism(b2_top, N5) is None
         # the identity maps every cover of the first onto a cover of the
@@ -565,7 +624,7 @@ class TestSingletonShortcut:
         found = {}
         for name, c2 in stubs.items():
             monkeypatch.setattr(iso, "_joint_refinement",
-                                lambda l1, l2, c2=c2: ([0, 1, 2, 3], list(c2)))
+                                lambda l1, l2, start=None, c2=c2: ([0, 1, 2, 3], list(c2)))
             found[name] = lattice.find_isomorphism(B2, B2)
         assert found == {"swap atoms": (0, 2, 1, 3), "bottom to top": None,
                          "foreign colours": None}
