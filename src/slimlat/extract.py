@@ -137,11 +137,11 @@ def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
     return Trajectory(tuple(divmod(e, size) for e in path))
 
 
-def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
-    """Extraction by trajectories.  Tests semimodularity only: the lattice of
-    a bordered diagram is slim by construction.  Each walk counts the left
-    and right edges it meets, its start included, and a failing one is
-    walked again to name them."""
+def _trajectory_images(diagram: BorderedDiagram) -> tuple[int, ...]:
+    """Extraction by trajectories, as unvalidated images.  Tests
+    semimodularity only: the lattice of a bordered diagram is slim by
+    construction.  Each walk counts the left and right edges it meets, its
+    start included, and a failing one is walked again to name them."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     _require_semimodular(lattice)
     adj = _opposite_edges(lattice)
@@ -162,7 +162,7 @@ def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
                 f"trajectory {i} meets left edges {[*filter(None, map(left_index.get, path))]}"
                 f" and right edges {[*filter(None, map(right_index.get, path))]}")
         images.append(right_index[edge])
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
@@ -193,12 +193,13 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
     return Permutation(tuple(images))
 
 
-def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
-    """Extraction through the join map from the grid onto the lattice.  Tests
-    semimodularity only: the lattice of a bordered diagram is slim by
-    construction.  The join of x and y, comparable or not, is the first of
-    their common upper bounds in the linear extension: one lowest set bit,
-    which stands for the join in the comparisons."""
+def _source_cell_images(diagram: BorderedDiagram) -> tuple[int, ...]:
+    """Extraction through the join map from the grid onto the lattice, as
+    unvalidated images.  Tests semimodularity only: the lattice of a
+    bordered diagram is slim by construction.  The join of x and y,
+    comparable or not, is the first of their common upper bounds in the
+    linear extension: one lowest set bit, which stands for the join in the
+    comparisons."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     _require_semimodular(lattice)
     n = diagram.n
@@ -215,7 +216,17 @@ def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
         if len(hits) > 1:
             raise SourceCellDuplicated(f"multiple source cells {hits} in row {i}")
         images.append(hits[0])
-    return Permutation(tuple(images))
+    return tuple(images)
+
+
+def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
+    """Extraction by trajectories (see _trajectory_images)."""
+    return Permutation(_trajectory_images(diagram))
+
+
+def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
+    """Extraction through the join map (see _source_cell_images)."""
+    return Permutation(_source_cell_images(diagram))
 
 
 def extract_permutation(diagram: BorderedDiagram, verify: bool = True) -> Permutation:
@@ -227,12 +238,17 @@ def extract_permutation(diagram: BorderedDiagram, verify: bool = True) -> Permut
     """
     result = pi2_meet_irreducibles(diagram)
     if verify:
-        p1 = pi1_trajectories(diagram)
-        p3 = pi3_source_cells(diagram)
-        if not (p1 == result == p3):
+        # images equal to pi2's are valid; any others raise as pi1_trajectories
+        # and then pi3_source_cells would
+        p1 = _trajectory_images(diagram)
+        if p1 != result.images:
+            Permutation(p1)
+        p3 = _source_cell_images(diagram)
+        if p3 != result.images:
+            Permutation(p3)
+        if not (p1 == result.images == p3):
             raise ExtractorDisagreement(
-                f"trajectories {p1.images}, meet-irreducibles {result.images}, "
-                f"source cells {p3.images}")
+                f"trajectories {p1}, meet-irreducibles {result.images}, source cells {p3}")
     return result
 
 

@@ -495,12 +495,15 @@ def trial_division_is_prime(p):
 
 def joint_refinement_by_sorted_sweeps(l1, l2):
     """iso._joint_refinement as it was before it skipped sorting short
-    cover lists: the same sweeps, palette and stopping rule, with every
-    key built from a sorted list of the covers' new colours."""
+    cover lists: the same starting keys (height, numbers of lower and of
+    upper covers, sizes of the ideal and of the filter), sweeps, palette and
+    stopping rule, with every key built from a sorted list of the covers'
+    new colours."""
     palette = {}
     lattices = (l1, l2)
     colours = [[palette.setdefault((lat.height[x], len(lat.covers_down[x]),
-                                    len(lat.covers_up[x])), len(palette))
+                                    len(lat.covers_up[x]), bin(lat.down[x]).count("1"),
+                                    bin(lat.up[x]).count("1")), len(palette))
                 for x in range(lat.size)] for lat in lattices]
     classes, calm, upward = 0, 0, True
     while True:

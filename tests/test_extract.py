@@ -121,6 +121,30 @@ class TestExtractPermutation:
             d = grid.phi0(pi)
             assert extract.extract_permutation(d.reflected()) == pi.inverse()
 
+    def test_checks_the_other_two_as_permutations_in_order(self, monkeypatch):
+        # pi2 gives (3, 1, 2) here; pi1's images, then pi3's, are validated
+        # only where they differ from it, and raise what Permutation raises
+        d = grid.phi0(Permutation((3, 1, 2)))
+        cases = [((3, 1, 2), (3, 1, 2), None),
+                 ((3, 3, 2), (3, 1, 2), perm.DuplicateValue),
+                 ((3, 1, 2), (0, 1, 2), perm.OutOfRange),
+                 ((3, 1), (3, 1, 2), perm.OutOfRange),
+                 ((3, 3, 2), (4, 1, 2), perm.DuplicateValue),
+                 ((1, 2, 3), (3, 1, 2), extract.ExtractorDisagreement),
+                 ((3, 1, 2), (2, 3, 1), extract.ExtractorDisagreement)]
+        for p1, p3, raised in cases:
+            monkeypatch.setattr(extract, "_trajectory_images", lambda _, p1=p1: p1)
+            monkeypatch.setattr(extract, "_source_cell_images", lambda _, p3=p3: p3)
+            if raised is None:
+                assert extract.extract_permutation(d) == Permutation((3, 1, 2))
+            else:
+                with pytest.raises(raised):
+                    extract.extract_permutation(d)
+            assert extract.extract_permutation(d, verify=False) == Permutation((3, 1, 2))
+        monkeypatch.setattr(extract, "_trajectory_images", lambda _: (3, 3, 2))
+        with pytest.raises(perm.DuplicateValue):
+            extract.pi1_trajectories(d)
+
 
 class TestDiagramsOf:
     def test_chain_has_one_diagram(self):

@@ -566,6 +566,59 @@ class TestJointRefinement:
         assert answers() == sweeps
 
 
+class TestStartingColours:
+    """The starting keys are order invariants, so against a relabelled copy
+    the root of every search gives the copy the original's colours, moved by
+    the relabelling."""
+
+    @staticmethod
+    def cases():
+        """(lattice, diagram or None): phi0 of every permutation with n <= 5
+        and of 20 seeded random ones for each 6 <= n <= 10, and every
+        lattice of the refinement corpus."""
+        perms = [Permutation(images) for n in range(6)
+                 for images in itertools.permutations(range(1, n + 1))]
+        rng = random.Random(20)
+        perms += [Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                  for n in range(6, 11) for _ in range(20)]
+        cases = [(d.lattice, d) for d in map(grid.phi0, perms)]
+        return cases + list({id(l1): (l1, d1) for l1, _, d1, _ in refinement_corpus()}.values())
+
+    def test_relabelled_copies_get_moved_colours(self, monkeypatch):
+        roots = []
+        refine = iso._joint_refinement
+
+        def recorded(l1, l2, start=None):
+            refined = refine(l1, l2, start)
+            # copied, as the search splits classes in place
+            roots.append(refined and tuple(map(list, refined)))
+            return refined
+
+        monkeypatch.setattr(iso, "_joint_refinement", recorded)
+        pinned = 0
+        for seed, (lat, d) in enumerate(self.cases()):
+            ids = list(range(lat.size))
+            random.Random(seed).shuffle(ids)
+            copy = TestSearchBudget.relabelled(lat, seed)
+            roots.clear()
+            assert lattice.find_isomorphism(lat, copy) is not None
+            c1, c2 = roots[0]
+            assert [c2[ids[x]] for x in range(lat.size)] == c1
+            if d is None:
+                continue
+            moved = BorderedDiagram(copy, tuple(ids[x] for x in d.left_chain),
+                                    tuple(ids[x] for x in d.right_chain))
+            roots.clear()
+            assert lattice.boundarily_similar(d, moved)
+            c1, c2 = roots[0]
+            assert [c2[ids[x]] for x in range(lat.size)] == c1
+            # each pin starts in a class of its own
+            chains = {*d.left_chain, *d.right_chain}
+            assert all(c1.count(c1[x]) == 1 for x in chains)
+            pinned += 1
+        assert pinned >= 450  # 463
+
+
 def boundary_pins(d1, d2):
     """boundarily_similar's pinned pairs, or None when the chains conflict."""
     if len(d1.left_chain) != len(d2.left_chain):
