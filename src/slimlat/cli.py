@@ -19,10 +19,10 @@ from slimlat import perm
 from slimlat.perm import Permutation
 
 # the largest permutation size build, render-grid and group-realize accept;
-# on a 2-vCPU VM, slimlat build at n = 128 takes 0.14 s for a random
-# permutation and 0.30 s with a 55 MB peak for the reversal (8,257 elements,
-# the most at n = 128), and extract of the reversal's diagram 0.36 s with a
-# 69 MB peak, each command in a child process
+# on a 2-vCPU VM, slimlat build at n = 128 takes 0.07 s with a 22 MB peak for
+# a random permutation and 0.09 s with a 28 MB peak for the reversal (8,257
+# elements, the most at n = 128), and extract of the reversal's diagram
+# 0.14 s with a 68 MB peak, each command in a child process
 SIZE_CAP = 128
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

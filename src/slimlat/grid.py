@@ -288,7 +288,14 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
     return GridCongruence(grid.n, _closure_labels(grid.n, _cell_pairs(grid.n, [(i, j)])))
 
 
-@lru_cache(maxsize=1024)
+# The memo's only reuse is of the permutation just built: heuristic_layout
+# after phi0 in build, beta_from_formula after phi0 in a verify bundle, and
+# beta_from_perm's own check.  One entry at n = 128 holds 237-350 KB, so a
+# larger memo would only pin memory in a long run.
+_FORMULA_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=_FORMULA_MEMO_SIZE)
 def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
     # one downward sweep over the flat indices: a block is convex and holds
     # its top, so an element with no collapsed upper edge is its block's top,

@@ -183,11 +183,16 @@ def _search_isomorphisms(l1: FiniteLattice, l2: FiniteLattice,
             else:
                 yield node[:2]
 
+    up1, up2 = l1.covers_up, l2.covers_up
+    same_count = sum(map(len, up1)) == sum(map(len, up2))
     for c1, c2 in leaves():
         image = dict(zip(c2, range(size)))
         mapping = tuple(map(image.get, c1))
+        # a bijection maps the covers of l1 onto those of l2 iff there are
+        # as many of each and it maps every cover of l1 to one of l2
         if (None not in mapping and all(mapping[x] == y for x, y in (pinned or {}).items())
-                and l2.covers == {(mapping[a], mapping[b]) for a, b in l1.covers}):
+                and same_count and all(mapping[b] in up2[mapping[a]]
+                                       for a, ups in enumerate(up1) for b in ups)):
             yield mapping
 
 

@@ -9,6 +9,9 @@ Conventions:
     - ``up[x]`` / ``down[x]`` are bitmask encodings of the up-set and
       down-set of ``x``; order queries are bit tests on them, and join and
       meet are computed on demand from the cones.
+    - A lattice holds O(size + |covers|) data, the cover lists, heights and
+      a linear extension, until a cone or the set ``covers`` is first read;
+      the cones then take O(size^2) bits.
 
 The module also provides the predicates used throughout the package
 (semimodularity, slimness, narrows, covering squares) and the
@@ -25,15 +28,16 @@ from collections.abc import Iterable, Sequence
 
 from slimlat.perm import _Frozen
 
-# The largest lattice size lattice_from_json accepts.  Construction costs
+# The largest lattice size lattice_from_json accepts.  Validation costs
 # O(size^2) bits of masks, so the size is checked before anything is
 # allocated: a 69-byte file claiming 20,000 elements and no covers used to
 # reach 125 MB of peak RSS before it was refused.  The cap admits every build
 # output: the largest at the permutation size cap 128 is the reversal's,
-# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.36 s and
-# 69 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
+# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.14 s and
+# 68 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
 # bound check makes k(k - 1)/2 tests for an element with k upper covers, so
-# M_8255 at the cap takes 54 s.
+# export-dot of M_8255 at the cap takes 19 s.  extract refuses M_8255's
+# diagram in 0.1 s, as diagram_from_json checks the chains first.
 JSON_SIZE_CAP = 8257
 
 
@@ -62,15 +66,19 @@ class InvalidDiagram(ValueError):
 
 
 class FiniteLattice:
-    """An immutable finite lattice with eagerly computed order data.
+    """An immutable finite lattice whose order data is built on demand.
 
     _fill builds every lattice from its upper covers and a linear extension:
-    the up-set and down-set masks, the heights and the bounds cost
-    O(size + |covers|) operations on size-bit masks, and take O(size^2)
-    bits.  Join and meet are computed on demand: a comparable pair answers
-    from the order, and an incomparable one with one lowest or highest set
-    bit of the intersection of two cones whose bits are numbered by the
-    linear extension.
+    the lower covers, the heights and the bounds cost O(size + |covers|)
+    time and space.  The cones (up, down and the two ranked by the linear
+    extension) cost O(size + |covers|) operations on size-bit masks and
+    O(size^2) bits; _from_covers_up leaves them to the first read of any of
+    them (see _ConesOnDemand), so a lattice that is only stored, compared
+    by its covers or serialized never builds them.  The set covers is built
+    on first read.  Join and meet are computed from the cones: a comparable
+    pair answers from the order, and an incomparable one with one lowest or
+    highest set bit of the intersection of two cones whose bits are
+    numbered by the linear extension.
 
     The constructor validates its input: the covers must be the transitive
     reduction of a bounded order, and one such bit search per pair of upper
@@ -79,11 +87,41 @@ class FiniteLattice:
     lattices by construction without that check.
     """
 
-    __slots__ = ("size", "covers", "covers_up", "covers_down", "up", "down",
+    __slots__ = ("size", "covers_up", "covers_down", "up", "down",
                  "height", "bottom", "top", "_order", "_up_ranked", "_down_ranked",
                  "_cache")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]]):
+        self._fill_bounded_order(size, covers)
+        self._check_bounds()
+
+    @staticmethod
+    def _from_covers_up(covers_up: Sequence[Sequence[int]],
+                        order: Sequence[int]) -> "FiniteLattice":
+        """A lattice its caller already knows to be one, without validation.
+
+        Every caller must guarantee what __init__ would check: covers_up[x]
+        lists the upper covers of x in ascending order, the covers are the
+        transitive reduction of a lattice order, and order is a linear
+        extension of it, so it starts at the bottom and ends at the top.
+        grid._lattice_from_tops builds the closed elements of a closure
+        operator, groups the intersections of two chains of divisors, and
+        dual, chain and iso.interval_sublattice take lattices to lattices; all
+        are lattices by construction.  Cost: that of _fill; the cones wait
+        for their first read.
+        """
+        self = _ConesOnDemand.__new__(_ConesOnDemand)
+        self._fill(covers_up, order)
+        return self
+
+    # -- construction internals -------------------------------------------
+
+    def _fill_bounded_order(self, size: int, covers: Iterable[tuple[int, int]]) -> None:
+        """Fills self from untrusted covers and checks all that __init__
+        checks but the joins and meets: the covers name elements, are
+        acyclic and are the transitive reduction of an order with a least
+        and a greatest element.  diagram_from_json checks a diagram's chains
+        between this and _check_bounds, which may cost far more."""
         if size < 1:
             raise NotALattice("a lattice needs at least one element")
         cover_set = set()
@@ -111,58 +149,50 @@ class FiniteLattice:
         if len(order) != size:
             raise Cyclic("cover relation has a cycle")
         self._fill(ups, order)
+        self._fill_cones()
         self._check_reduced()
         # a least element is the only source, so every linear extension
         # starts with it; dually for the greatest
         full = (1 << size) - 1
         if self.up[self.bottom] != full or self.down[self.top] != full:
             raise NotALattice("order must have a least and a greatest element")
-        self._check_bounds()
-
-    @classmethod
-    def _from_covers_up(cls, covers_up: Sequence[Sequence[int]],
-                        order: Sequence[int]) -> "FiniteLattice":
-        """A lattice its caller already knows to be one, without validation.
-
-        Every caller must guarantee what __init__ would check: covers_up[x]
-        lists the upper covers of x in ascending order, the covers are the
-        transitive reduction of a lattice order, and order is a linear
-        extension of it, so it starts at the bottom and ends at the top.
-        grid._lattice_from_tops builds the closed elements of a closure
-        operator, groups the intersections of two chains of divisors, and
-        dual, chain and iso.interval_sublattice take lattices to lattices; all
-        are lattices by construction.  Cost: that of _fill.
-        """
-        self = cls.__new__(cls)
-        self._fill(covers_up, order)
-        return self
-
-    # -- construction internals -------------------------------------------
 
     def _fill(self, covers_up: Sequence[Sequence[int]], order: Sequence[int]) -> None:
-        """Sets every attribute from the ascending upper cover lists and a
-        linear extension: the cover set and lower cover lists, the cones by
-        id and by position in order, the heights, order[0] as the bottom and
-        order[-1] as the top."""
+        """Sets the linear data from the ascending upper cover lists and a
+        linear extension: the lower cover lists, the heights, order[0] as
+        the bottom and order[-1] as the top, but not the cones."""
         self.size = size = len(order)
         self.covers_up = covers_up = tuple(map(tuple, covers_up))
         downs: list[list[int]] = [[] for _ in range(size)]
-        covers = []
         for x, ys in enumerate(covers_up):
             for y in ys:
                 downs[y].append(x)
-                covers.append((x, y))
-        self.covers = frozenset(covers)
         self.covers_down = tuple(map(tuple, downs))
-        up, down, height, up_r, down_r = ([0] * size for _ in range(5))
+        height = [0] * size
+        for x in order:
+            h = height[x] + 1
+            for y in covers_up[x]:
+                if height[y] < h:
+                    height[y] = h
+        self.height = tuple(height)
+        self.bottom = order[0]
+        self.top = order[-1]
+        self._order = tuple(order)
+        self._cache: dict = {}
+
+    def _fill_cones(self) -> None:
+        """Sets the four cones together: the up-set and down-set masks by
+        id, and by position in the linear extension.  Cost: O(size +
+        |covers|) operations on size-bit masks, O(size^2) bits."""
+        size, order, covers_up = self.size, self._order, self.covers_up
+        covers_down = self.covers_down
+        up, down, up_r, down_r = ([0] * size for _ in range(4))
         for k, x in enumerate(order):
-            mask, ranked, h = 1 << x, 1 << k, 0
-            for y in downs[x]:
+            mask, ranked = 1 << x, 1 << k
+            for y in covers_down[x]:
                 mask |= down[y]
                 ranked |= down_r[y]
-                if height[y] >= h:
-                    h = height[y] + 1
-            down[x], down_r[x], height[x] = mask, ranked, h
+            down[x], down_r[x] = mask, ranked
         for k in range(size - 1, -1, -1):
             x = order[k]
             mask, ranked = 1 << x, 1 << k
@@ -172,18 +202,15 @@ class FiniteLattice:
             up[x], up_r[x] = mask, ranked
         self.up = tuple(up)
         self.down = tuple(down)
-        self.height = tuple(height)
-        self.bottom = order[0]
-        self.top = order[-1]
-        self._order = tuple(order)
         self._up_ranked = tuple(up_r)
         self._down_ranked = tuple(down_r)
-        self._cache: dict = {}
 
     def _check_reduced(self) -> None:
-        for a, b in self.covers:
-            if self.up[a] & self.down[b] != (1 << a) | (1 << b):
-                raise NotReduced(f"cover ({a}, {b}) is a transitive edge")
+        up, down = self.up, self.down
+        for a, ups in enumerate(self.covers_up):
+            for b in ups:
+                if up[a] & down[b] != (1 << a) | (1 << b):
+                    raise NotReduced(f"cover ({a}, {b}) is a transitive edge")
 
     def _check_bounds(self) -> None:
         """Raises NotALattice unless every pair has a join and a meet, given
@@ -265,6 +292,12 @@ class FiniteLattice:
         common = self._down_ranked[x] & self._down_ranked[y]
         return self._order[common.bit_length() - 1]
 
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The cover pairs (lower, upper), built on first read."""
+        return _cached(self, "covers", lambda: frozenset(
+            [(x, y) for x, ys in enumerate(self.covers_up) for y in ys]))
+
     def is_cover(self, x: int, y: int) -> bool:
         return (x, y) in self.covers
 
@@ -300,10 +333,33 @@ class FiniteLattice:
 
     def __reduce__(self):
         # through the validating constructor, as _Frozen values are rebuilt
-        return self.__class__, (self.size, self.covers)
+        return FiniteLattice, (self.size, self.covers)
 
     def __repr__(self) -> str:
         return f"FiniteLattice(size={self.size}, covers={sorted(self.covers)})"
+
+
+_CONES = frozenset(("up", "down", "_up_ranked", "_down_ranked"))
+
+
+class _ConesOnDemand(FiniteLattice):
+    """A FiniteLattice whose cones are not built yet.  The first read of any
+    of them builds all four and makes the instance a plain FiniteLattice.
+
+    Only this class has __getattr__: CPython does not specialize attribute
+    reads on a class that defines it, and on 3.11 that made every read of
+    every lattice attribute 1.7 times as slow.  After the switch, leq, join
+    and meet read their slots at full speed."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # called only when the usual lookup fails, as for an unset slot
+        if name not in _CONES:
+            raise AttributeError(f"'FiniteLattice' object has no attribute {name!r}")
+        self._fill_cones()
+        self.__class__ = FiniteLattice
+        return getattr(self, name)
 
 
 def from_covers(size: int, covers: Iterable[tuple[int, int]]) -> FiniteLattice:
@@ -467,12 +523,7 @@ class BorderedDiagram(_Frozen):
 
     def __init__(self, lattice: FiniteLattice, left_chain: tuple[int, ...],
                  right_chain: tuple[int, ...]):
-        for name, chain_ in (("left", left_chain), ("right", right_chain)):
-            _check_maximal_chain(lattice, chain_, name)
-        boundary = set(left_chain) | set(right_chain)
-        missing = [x for x in join_irreducibles(lattice) if x not in boundary]
-        if missing:
-            raise InvalidDiagram(f"join-irreducibles {missing} not on either chain")
+        _check_chains(lattice, left_chain, right_chain)
         _Frozen.__init__(self, lattice, left_chain, right_chain)
 
     @classmethod
@@ -481,7 +532,8 @@ class BorderedDiagram(_Frozen):
         """A diagram its caller already knows to be one, without the checks:
         both chains run from bottom to top through covers and together hold
         every join-irreducible, as for the chains extract._assemble walks
-        from covers and the grid boundary images grid.phi0 takes."""
+        from covers, the grid boundary images grid.phi0 takes, and the
+        chains diagram_from_json has checked."""
         self = cls.__new__(cls)
         _Frozen.__init__(self, lattice, left_chain, right_chain)
         return self
@@ -497,19 +549,31 @@ class BorderedDiagram(_Frozen):
         return BorderedDiagram(self.lattice, self.right_chain, self.left_chain)
 
 
-def _check_maximal_chain(lattice: FiniteLattice, chain_: Sequence[int], name: str) -> None:
-    if not chain_ or chain_[0] != lattice.bottom or chain_[-1] != lattice.top:
-        raise InvalidDiagram(f"{name} chain must run from bottom to top")
-    covers = lattice.covers
-    for a, b in zip(chain_, chain_[1:]):
-        if (a, b) not in covers:
-            raise InvalidDiagram(f"{name} chain step ({a}, {b}) is not a cover")
+def _check_chains(lattice: FiniteLattice, left_chain: Sequence[int],
+                  right_chain: Sequence[int]) -> None:
+    """Raises InvalidDiagram unless both chains run from bottom to top
+    through covers and together hold every join-irreducible.  Reads the
+    cover lists only, so it needs just a bounded order: O(|covers|)."""
+    covers_up = lattice.covers_up
+    for name, chain_ in (("left", left_chain), ("right", right_chain)):
+        if not chain_ or chain_[0] != lattice.bottom or chain_[-1] != lattice.top:
+            raise InvalidDiagram(f"{name} chain must run from bottom to top")
+        # each a is the bottom or a checked upper cover, so it is an element
+        for a, b in zip(chain_, chain_[1:]):
+            if b not in covers_up[a]:
+                raise InvalidDiagram(f"{name} chain step ({a}, {b}) is not a cover")
+    boundary = set(left_chain) | set(right_chain)
+    missing = [x for x in join_irreducibles(lattice) if x not in boundary]
+    if missing:
+        raise InvalidDiagram(f"join-irreducibles {missing} not on either chain")
 
 
 # -- serialization -------------------------------------------------------------
 
 def lattice_to_json(lattice: FiniteLattice) -> dict:
-    return {"size": lattice.size, "covers": sorted(map(list, lattice.covers))}
+    # ascending cover lists walked by element give the pairs in sorted order
+    return {"size": lattice.size,
+            "covers": [[x, y] for x, ys in enumerate(lattice.covers_up) for y in ys]}
 
 
 def _integers(value, what: str) -> tuple[int, ...]:
@@ -529,6 +593,12 @@ def lattice_from_json(obj: dict) -> FiniteLattice:
     Raises ValueError on a malformed object and TooLarge, before anything of
     that size is allocated, on a size above JSON_SIZE_CAP.
     """
+    return FiniteLattice(*_lattice_fields(obj))
+
+
+def _lattice_fields(obj: dict) -> tuple[int, list[tuple[int, ...]]]:
+    """The size and the cover pairs of a lattice object, unvalidated as a
+    lattice; raises as lattice_from_json does on a malformed object."""
     try:
         size = obj["size"]
         pairs = obj["covers"]
@@ -546,7 +616,7 @@ def lattice_from_json(obj: dict) -> FiniteLattice:
         if len(cover) != 2:
             raise ValueError(f"malformed cover: {pair!r:.80} is not a pair")
         covers.append(cover)
-    return FiniteLattice(size, covers)
+    return size, covers
 
 
 def diagram_to_json(diagram: BorderedDiagram) -> dict:
@@ -558,14 +628,23 @@ def diagram_to_json(diagram: BorderedDiagram) -> dict:
 
 def diagram_from_json(obj: dict) -> BorderedDiagram:
     """The bordered diagram of a parsed JSON object: a lattice object (see
-    lattice_from_json) with "left_chain" and "right_chain" lists of integers."""
-    lattice = lattice_from_json(obj)
+    lattice_from_json) with "left_chain" and "right_chain" lists of integers.
+
+    The chains are checked against the bounded order before its joins: that
+    costs O(|covers|), while the join check costs O(k^2) for an element with
+    k upper covers, so a lattice such as M_k, whose k atoms cannot lie on
+    two chains, is refused as InvalidDiagram at once.
+    """
+    lattice = FiniteLattice.__new__(FiniteLattice)
+    lattice._fill_bounded_order(*_lattice_fields(obj))
     try:
         left, right = obj["left_chain"], obj["right_chain"]
     except KeyError as exc:
         raise ValueError(f"malformed diagram object: {exc}") from exc
-    return BorderedDiagram(lattice, _integers(left, "left chain"),
-                           _integers(right, "right chain"))
+    left, right = _integers(left, "left chain"), _integers(right, "right chain")
+    _check_chains(lattice, left, right)
+    lattice._check_bounds()
+    return BorderedDiagram._trusted(lattice, left, right)
 
 
 def to_dot(lattice: FiniteLattice, labels: dict[int, str] | None = None,
@@ -582,8 +661,9 @@ def to_dot(lattice: FiniteLattice, labels: dict[int, str] | None = None,
     for h in sorted(by_height):
         row = "; ".join(f"n{x}" for x in sorted(by_height[h]))
         lines.append(f"  {{ rank=same; {row}; }}")
-    for a, b in sorted(lattice.covers):
-        lines.append(f"  n{a} -> n{b};")
+    for a, ups in enumerate(lattice.covers_up):
+        for b in ups:
+            lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

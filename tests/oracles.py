@@ -249,6 +249,37 @@ def set_bits(mask):
         mask ^= low
 
 
+def eager_order_data(lattice):
+    """The cones, heights and cover set of a lattice, built from its upper
+    covers and linear extension alone by one pass down the extension and
+    one up it: (up, down, up ranked, down ranked, height, covers), where the
+    ranked cones number their bits by position in the extension."""
+    size, order, covers_up = lattice.size, lattice._order, lattice.covers_up
+    downs = [[] for _ in range(size)]
+    covers = []
+    for x, ys in enumerate(covers_up):
+        for y in ys:
+            downs[y].append(x)
+            covers.append((x, y))
+    up, down, height, up_r, down_r = ([0] * size for _ in range(5))
+    for k, x in enumerate(order):
+        mask, ranked, h = 1 << x, 1 << k, 0
+        for y in downs[x]:
+            mask |= down[y]
+            ranked |= down_r[y]
+            if height[y] >= h:
+                h = height[y] + 1
+        down[x], down_r[x], height[x] = mask, ranked, h
+    for k in range(size - 1, -1, -1):
+        x = order[k]
+        mask, ranked = 1 << x, 1 << k
+        for y in covers_up[x]:
+            mask |= up[y]
+            ranked |= up_r[y]
+        up[x], up_r[x] = mask, ranked
+    return tuple(up), tuple(down), tuple(up_r), tuple(down_r), tuple(height), frozenset(covers)
+
+
 def naive_bound_tables(lattice):
     """Join and meet tables by scanning the common bounds of every pair for
     the one whose up-set (down-set) equals them; None marks a missing bound."""
@@ -561,3 +592,23 @@ def joint_refinement_by_rounds(l1, l2, start=None):
         if len(set(n1)) == len(set(c1)) and len(set(n2)) == len(set(c2)):
             return n1, n2
         c1, c2 = n1, n2
+
+
+def phi0_mutants(d):
+    """(kind, size, covers, left, right) of the mutants of a phi0 diagram:
+    the chains swapped, one inner step of the left chain taken from the
+    right chain, one cover dropped, and one new element subdividing a cover
+    (and every chain through it)."""
+    lat, left, right = d.lattice, d.left_chain, d.right_chain
+    yield "swapped", lat.size, lat.covers, right, left
+    for k in range(1, len(left) - 1):
+        yield "swapped step", lat.size, lat.covers, left[:k] + right[k:k + 1] + left[k + 1:], right
+    for x, y in sorted(lat.covers):
+        yield "dropped cover", lat.size, lat.covers - {(x, y)}, left, right
+        z = lat.size
+
+        def subdivided(chain):
+            return tuple(v for a, b in zip(chain, chain[1:] + (None,))
+                         for v in ((a, z) if (a, b) == (x, y) else (a,)))
+        yield ("added element", z + 1, (lat.covers - {(x, y)}) | {(x, z), (z, y)},
+               subdivided(left), subdivided(right))

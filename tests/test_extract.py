@@ -285,26 +285,6 @@ def unchecked_diagram(lat, left, right):
     return diagram
 
 
-def phi0_mutants(d):
-    """(kind, size, covers, left, right) of the mutants of a phi0 diagram:
-    the chains swapped, one inner step of the left chain taken from the
-    right chain, one cover dropped, and one new element subdividing a cover
-    (and every chain through it)."""
-    lat, left, right = d.lattice, d.left_chain, d.right_chain
-    yield "swapped", lat.size, lat.covers, right, left
-    for k in range(1, len(left) - 1):
-        yield "swapped step", lat.size, lat.covers, left[:k] + right[k:k + 1] + left[k + 1:], right
-    for x, y in sorted(lat.covers):
-        yield "dropped cover", lat.size, lat.covers - {(x, y)}, left, right
-        z = lat.size
-
-        def subdivided(chain):
-            return tuple(v for a, b in zip(chain, chain[1:] + (None,))
-                         for v in ((a, z) if (a, b) == (x, y) else (a,)))
-        yield ("added element", z + 1, (lat.covers - {(x, y)}) | {(x, z), (z, y)},
-               subdivided(left), subdivided(right))
-
-
 EXTRACTORS = (extract.pi1_trajectories, extract.pi2_meet_irreducibles, extract.pi3_source_cells)
 M3_DIAGRAM = unchecked_diagram(M3, (0, 1, 4), (0, 2, 4))
 BOOLEAN_4 = FiniteLattice(16, [(x, x | 1 << k) for x in range(16) for k in range(4)
@@ -337,7 +317,7 @@ class TestErrorPaths:
         outcomes = set()
         for n in range(1, 5):
             for pi in all_perms(n):
-                for kind, size, covers, left, right in phi0_mutants(grid.phi0(pi)):
+                for kind, size, covers, left, right in oracles.phi0_mutants(grid.phi0(pi)):
                     got = refusal(lambda: FiniteLattice(size, covers))
                     stage = "lattice"
                     if got is None:

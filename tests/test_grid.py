@@ -590,7 +590,18 @@ class TestPhi0:
             assert (d.left_chain, d.right_chain) == (labels[::side], labels[:side]), pi
 
     def test_memo_caches_are_bounded(self):
-        assert grid._formula_labels.cache_info().maxsize is not None
+        assert grid._formula_labels.cache_info().maxsize <= 4
+
+    def test_memo_serves_the_permutation_just_built(self):
+        pi = Permutation(tuple(range(9, 0, -1)))
+        grid._formula_labels.cache_clear()
+        d = grid.phi0(pi)
+        grid.beta_from_formula(Grid(pi.n), pi)
+        assert grid._formula_labels.cache_info().hits == 1
+        grid.heuristic_layout(pi, d.lattice)
+        assert grid._formula_labels.cache_info().hits == 2
+        grid.beta_from_perm(Grid(pi.n), pi)
+        assert grid._formula_labels.cache_info().hits == 3
 
     def test_production_never_runs_the_closure(self, monkeypatch, capsys):
         def refuse(*args):

@@ -217,6 +217,79 @@ class TestTrustedBuilders:
             assert lattice.interval_sublattice(lat, lat.bottom, lat.top)[0].size == lat.size
 
 
+CONES = ("up", "down", "_up_ranked", "_down_ranked")
+
+
+def built(lat):
+    """Which of the cones and the cover set a lattice holds, read without
+    building them."""
+    def slot_set(name):
+        try:
+            FiniteLattice.__dict__[name].__get__(lat)
+        except AttributeError:
+            return False
+        return True
+    return [slot_set(name) for name in CONES] + ["covers" in lat._cache]
+
+
+class TestConesOnDemand:
+    @staticmethod
+    def corpus():
+        """Every phi0 lattice with n <= 7 and its dual, the interval
+        sublattices of those with n <= 4, cyclic-group lattices, and the
+        lattices of the phi0 mutants with n <= 4."""
+        out = []
+        for n in range(0, 8):
+            for images in itertools.permutations(range(1, n + 1)):
+                lat = grid.phi0(Permutation(images)).lattice
+                out += [lat, lattice.dual(lat)]
+                if n <= 4:
+                    for x in range(lat.size):
+                        out.append(iso.interval_sublattice(lat, lat.bottom, x)[0])
+                        out.append(iso.interval_sublattice(lat, x, lat.top)[0])
+        for primes, images in (((2,), (1,)), ((2, 3), (2, 1)), ((2, 3, 5), (2, 3, 1)),
+                               ((2, 3, 5, 7), (4, 1, 3, 2))):
+            inst = groups.csl_build(primes, Permutation(images))
+            out += [groups.csl_lattice(inst), groups.csl_dual_diagram(inst).lattice]
+        for n in range(1, 5):
+            for images in itertools.permutations(range(1, n + 1)):
+                for _, size, covers, _, _ in oracles.phi0_mutants(grid.phi0(Permutation(images))):
+                    try:
+                        out.append(FiniteLattice(size, covers))
+                    except ValueError:
+                        pass
+        return out
+
+    def test_built_on_first_read_match_eager_build(self):
+        lattices = self.corpus()
+        assert len(lattices) > 12_000
+        for lat in lattices:
+            want = oracles.eager_order_data(lat)
+            assert (lat.up, lat.down, lat._up_ranked, lat._down_ranked,
+                    lat.height, lat.covers) == want
+            assert lattice.lattice_to_json(lat)["covers"] == sorted(map(list, want[-1]))
+
+    def test_read_one_builds_all_four_cones(self):
+        lat = grid.phi0(Permutation((3, 1, 4, 2))).lattice
+        assert built(lat) == [False] * 5
+        assert lat.leq(lat.bottom, lat.top)
+        assert built(lat) == [True] * 4 + [False] and type(lat) is FiniteLattice
+        assert lat.is_cover(lat.bottom, lat.covers_up[lat.bottom][0])
+        assert built(lat) == [True] * 5
+        for lat in (grid.phi0(Permutation((2, 1))).lattice, lat):  # coneless, then built
+            with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+                lat.nothing
+
+    def test_build_route_builds_no_cone(self):
+        for images in ((), (1,), (3, 1, 4, 2), tuple(range(12, 0, -1))):
+            pi = Permutation(images)
+            d = grid.phi0(pi)
+            lattice.diagram_to_json(d)
+            grid.heuristic_layout(pi, d.lattice)
+            lattice.to_dot(d.lattice)
+            assert built(d.lattice) == [False] * 5, images
+
+
 class TestPredicates:
     def test_semimodular(self):
         assert lattice.is_semimodular(B2)
@@ -759,6 +832,35 @@ class TestSerialization:
             lattice.lattice_from_json({"covers": [[0, 1]]})
         with pytest.raises(ValueError):
             lattice.diagram_from_json({"size": 2, "covers": [[0, 1]]})
+
+    def test_m_k_diagram_refused_before_the_join_check(self, monkeypatch):
+        # M_k's k atoms are join-irreducible and at most two lie on the
+        # chains; the join check would test k(k - 1)/2 pairs of atoms
+        def refuse(self):
+            raise AssertionError("join check run")
+
+        k = 2000
+        obj = {"size": k + 2,
+               "covers": [[0, a] for a in range(1, k + 1)] + [[a, k + 1] for a in range(1, k + 1)],
+               "left_chain": [0, 1, k + 1], "right_chain": [0, 2, k + 1]}
+        monkeypatch.setattr(FiniteLattice, "_check_bounds", refuse)
+        with pytest.raises(lattice.InvalidDiagram, match="not on either chain"):
+            lattice.diagram_from_json(obj)
+        obj["covers"].append([1, 2])  # a transitive edge: the order checks still come first
+        with pytest.raises(lattice.NotReduced):
+            lattice.diagram_from_json(obj)
+
+    def test_diagram_join_check_follows_the_chains(self):
+        # a bounded order with one pair of atoms below two incomparable
+        # elements has no join, whatever the chains
+        covers = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+        obj = {"size": 6, "covers": covers, "left_chain": [0, 1, 3, 5],
+               "right_chain": [0, 2, 4, 5]}
+        with pytest.raises(lattice.NotALattice, match="no join"):
+            lattice.diagram_from_json(obj)
+        obj["right_chain"] = [0, 1, 4, 5]
+        with pytest.raises(lattice.InvalidDiagram, match=r"join-irreducibles \[2\]"):
+            lattice.diagram_from_json(obj)
 
     def test_dot_output(self):
         dot = lattice.to_dot(B2)
