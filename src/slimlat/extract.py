@@ -98,10 +98,14 @@ def _opposite_edges(lattice: FiniteLattice) -> dict[int, tuple[int, ...]]:
         size = lattice.size
         adj: dict[int, tuple[int, ...]] = {}
         get = adj.get
+        # tuples, not lists: lists held in the cache raised the peak RSS of
+        # long runs that build many diagrams
         for w, a, b, t in covering_squares(lattice):
-            for e, f in ((w * size + a, b * size + t), (w * size + b, a * size + t)):
-                adj[e] = get(e, ()) + (f,)
-                adj[f] = get(f, ()) + (e,)
+            e, f, g, h = w * size + a, b * size + t, w * size + b, a * size + t
+            adj[e] = get(e, ()) + (f,)
+            adj[f] = get(f, ()) + (e,)
+            adj[g] = get(g, ()) + (h,)
+            adj[h] = get(h, ()) + (g,)
         # planarity of slim lattices: an edge borders at most two squares
         if max(map(len, adj.values()), default=0) > 2:
             raise NotSlimSemimodular("edge in more than two covering squares")
@@ -150,11 +154,21 @@ def _trajectory_images(diagram: BorderedDiagram) -> tuple[int, ...]:
     right_index = {right[k - 1] * size + right[k]: k for k in range(1, len(right))}
     images = []
     for i in range(1, diagram.n + 1):
+        # _walk, inline: this loop is the hot path of verify's round trips
         start = left[i - 1] * size + left[i]
+        if len(adj.get(start, ())) > 1:
+            raise TrajectoryAmbiguous(f"left edge {divmod(start, size)} borders two squares")
         lefts = rights = 0
-        for edge in _walk(adj, start, size):
+        prev, edge = -1, start
+        while True:
             lefts += edge in left_index
             rights += edge in right_index
+            for nxt in adj.get(edge, ()):
+                if nxt != prev:
+                    break
+            else:
+                break
+            prev, edge = edge, nxt
         if rights != 1 or lefts != 1 or edge not in right_index:
             path = [*_walk(adj, start, size)]
             # every index is at least 1
@@ -196,19 +210,21 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
 def _source_cell_images(diagram: BorderedDiagram) -> tuple[int, ...]:
     """Extraction through the join map from the grid onto the lattice, as
     unvalidated images.  Tests semimodularity only: the lattice of a
-    bordered diagram is slim by construction.  The join of x and y,
-    comparable or not, is the first of their common upper bounds in the
-    linear extension: one lowest set bit, which stands for the join in the
-    comparisons."""
+    bordered diagram is slim by construction.  The up-set of x ∨ y is
+    up[x] & up[y], so equal masks mean equal joins, and the masks stand for
+    the joins in the comparisons."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     _require_semimodular(lattice)
     n = diagram.n
-    up_ranked = lattice._up_ranked
-    right_up = [up_ranked[d] for d in right]
-    eta = [[m & -m for m in [up_ranked[c] & up_d for up_d in right_up]] for c in left]
+    up = lattice.up
+    right_up = [up[d] for d in right]
+    # two rows of joins at a time: holding all (n + 1)^2 full masks raised
+    # the peak RSS of long runs
+    row = [up[left[0]] & up_d for up_d in right_up]
     images = []
     for i in range(1, n + 1):
-        below, row = eta[i - 1], eta[i]
+        up_c = up[left[i]]
+        below, row = row, [up_c & up_d for up_d in right_up]
         hits = [j for j in range(1, n + 1)
                 if below[j] == row[j - 1] == row[j] != below[j - 1]]
         if not hits:

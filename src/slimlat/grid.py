@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
@@ -290,33 +291,36 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
 
 # The memo's only reuse is of the permutation just built: heuristic_layout
 # after phi0 in build, beta_from_formula after phi0 in a verify bundle, and
-# beta_from_perm's own check.  One entry at n = 128 holds 237-350 KB, so a
+# beta_from_perm's own check.  One entry at n = 128 holds 420-640 KB, so a
 # larger memo would only pin memory in a long run.
 _FORMULA_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=_FORMULA_MEMO_SIZE)
-def _formula_labels(n: int, images: tuple[int, ...]) -> tuple[int, ...]:
+def _formula_blocks(n: int, images: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The canonical labels of pi's congruence by the closed form, and the
+    flat index of each block's top."""
     # one downward sweep over the flat indices: a block is convex and holds
     # its top, so an element with no collapsed upper edge is its block's top,
     # and any other one shares the top of the element across such an edge.
     # keys[e] is the flat index of e's block top.
     side = n + 1
-    inv = [0] * n
-    for i, v in enumerate(images, start=1):
-        inv[v - 1] = i
+    active = sorted(images)  # pi(1..i) in row i: the c = j + 1 with pi^-1(c) <= i
     keys = list(range(side * side))
     for i in range(n, -1, -1):
         row = i * side
         # c-direction edges ((i, j), (i+1, j)) with j >= pi(i+1); none in the top row
         v = images[i] if i < n else side
         keys[row + v:row + side] = keys[row + side + v:row + 2 * side]
-        # d-direction edges ((i, j), (i, j+1)) with i >= pi^-1(j+1)
-        for j in range(min(v, n) - 1, -1, -1):
-            if inv[j] <= i:
-                keys[row + j] = keys[row + j + 1]
+        # d-direction edges ((i, j), (i, j+1)) with i >= pi^-1(j+1), for j < v
+        for c in reversed(active[:bisect_left(active, v)]):
+            keys[row + c - 1] = keys[row + c]
+        if i:
+            active.remove(images[i - 1])
     canon: dict[int, int] = {}
-    return tuple([canon.setdefault(key, len(canon)) for key in keys])
+    labels = tuple([canon.setdefault(key, len(canon)) for key in keys])
+    # the keys in order of first occurrence are the block tops by label
+    return labels, list(canon)
 
 
 def beta_from_perm(grid: Grid, pi: Permutation, check: bool = True) -> GridCongruence:
@@ -329,7 +333,7 @@ def beta_from_perm(grid: Grid, pi: Permutation, check: bool = True) -> GridCongr
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
     kappa = GridCongruence(grid.n, _closure_labels(
         grid.n, _cell_pairs(grid.n, enumerate(pi.images, start=1))))
-    if check and kappa.labels != _formula_labels(grid.n, pi.images):
+    if check and kappa.labels != _formula_blocks(grid.n, pi.images)[0]:
         raise RuntimeError(f"closure and closed-form congruences differ for {pi.images}")
     return kappa
 
@@ -338,7 +342,7 @@ def beta_from_formula(grid: Grid, pi: Permutation) -> GridCongruence:
     """The same congruence assembled from the closed-form edge predicate only."""
     if pi.n != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
-    return GridCongruence(grid.n, _formula_labels(grid.n, pi.images))
+    return GridCongruence(grid.n, _formula_blocks(grid.n, pi.images)[0])
 
 
 def beta_formula(n: int, pi: Permutation, edge: tuple[Coord, Coord]) -> bool:
@@ -357,21 +361,34 @@ def beta_formula(n: int, pi: Permutation, edge: tuple[Coord, Coord]) -> bool:
 
 # -- cell classification --------------------------------------------------------
 
-def forbidden_cells(kappa: GridCongruence) -> frozenset[GridCell]:
-    """Cells whose bottom and side blocks are pairwise distinct while the top
-    falls into a side block; witnesses that the quotient map breaks a cover."""
+def _cell_scan(kappa: GridCongruence) -> tuple[list[Coord], list[Coord]]:
+    """The forbidden and the source cells of kappa as (i, j), each in
+    row-major order, from one pass over the cells."""
     side = kappa.n + 1
     labels = kappa.labels
-    out = []
+    forbidden = []
+    sources = []
     e = side  # the flat index of the top (i, j) of the cell
     for i in range(1, side):
         for j in range(1, side):
             e += 1
-            w, a, b, t = labels[e - side - 1], labels[e - side], labels[e - 1], labels[e]
-            if (t == a or t == b) and w != a and w != b and a != b:
-                out.append(GridCell(i, j))
+            # the top t, the sides a and b, and the bottom w
+            t, a, b = labels[e], labels[e - side], labels[e - 1]
+            if t == a or t == b:
+                w = labels[e - side - 1]
+                if a == b:
+                    if w != t:
+                        sources.append((i, j))
+                elif w != a and w != b:
+                    forbidden.append((i, j))
         e += 1
-    return frozenset(out)
+    return forbidden, sources
+
+
+def forbidden_cells(kappa: GridCongruence) -> frozenset[GridCell]:
+    """Cells whose bottom and side blocks are pairwise distinct while the top
+    falls into a side block; witnesses that the quotient map breaks a cover."""
+    return frozenset(itertools.starmap(GridCell, _cell_scan(kappa)[0]))
 
 
 def is_cover_preserving(kappa: GridCongruence) -> bool:
@@ -380,26 +397,15 @@ def is_cover_preserving(kappa: GridCongruence) -> bool:
 
 def source_cells(kappa: GridCongruence) -> frozenset[GridCell]:
     """Cells whose two side elements merge with the top but not the bottom."""
-    side = kappa.n + 1
-    labels = kappa.labels
-    out = []
-    e = side  # the flat index of the top (i, j) of the cell
-    for i in range(1, side):
-        for j in range(1, side):
-            e += 1
-            t = labels[e]
-            if labels[e - side] == t and labels[e - 1] == t and labels[e - side - 1] != t:
-                out.append(GridCell(i, j))
-        e += 1
-    return frozenset(out)
+    return frozenset(itertools.starmap(GridCell, _cell_scan(kappa)[1]))
 
 
-def regenerate(kappa: GridCongruence) -> GridCongruence:
-    """Rebuild a congruence as the join of the cell congruences at its source
-    cells.
+def _regenerate(kappa: GridCongruence) -> tuple[tuple[Coord, ...], GridCongruence]:
+    """kappa's source cells as (i, j) in row-major order, and regenerate(kappa).
 
-    Requires a cover-preserving congruence collapsing no boundary edge; under
-    those hypotheses the result equals the input.
+    The hypotheses are tested in the order left boundary edge i, right
+    boundary edge i for i = 1..n, then the forbidden cells, which come
+    from the same one pass over the cells as the source cells.
     """
     side = kappa.n + 1
     labels = kappa.labels
@@ -408,10 +414,21 @@ def regenerate(kappa: GridCongruence) -> GridCongruence:
             raise HypothesisViolated(f"left boundary edge {i - 1}->{i} collapsed")
         if labels[i - 1] == labels[i]:
             raise HypothesisViolated(f"right boundary edge {i - 1}->{i} collapsed")
-    if not is_cover_preserving(kappa):
+    forbidden, sources = _cell_scan(kappa)
+    if forbidden:
         raise HypothesisViolated("congruence has a forbidden cell")
-    pairs = _cell_pairs(kappa.n, sorted(source_cells(kappa)))
-    return GridCongruence(kappa.n, _closure_labels(kappa.n, pairs))
+    return tuple(sources), GridCongruence(
+        kappa.n, _closure_labels(kappa.n, _cell_pairs(kappa.n, sources)))
+
+
+def regenerate(kappa: GridCongruence) -> GridCongruence:
+    """Rebuild a congruence as the join of the cell congruences at its source
+    cells, found in the pass over the cells that finds the forbidden ones.
+
+    Requires a cover-preserving congruence collapsing no boundary edge; under
+    those hypotheses the result equals the input.
+    """
+    return _regenerate(kappa)[1]
 
 
 # -- the quotient construction ---------------------------------------------------
@@ -503,9 +520,9 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     :func:`slimlat.extract.extract_permutation`.
     """
     n = pi.n
-    labels = _formula_labels(n, pi.images)
-    lattice = _lattice_from_tops(n, labels, *_top_coordinates(n, labels))
     side = n + 1
+    labels, tops = _formula_blocks(n, pi.images)
+    lattice = _lattice_from_tops(n, labels, [t // side for t in tops], [t % side for t in tops])
     return BorderedDiagram._trusted(lattice, labels[::side], labels[:side])
 
 
@@ -520,8 +537,9 @@ def heuristic_layout(pi: Permutation, lattice: FiniteLattice | None = None
     if lattice is None:
         lattice = phi0(pi).lattice
     # block labels are the element ids of the quotient lattice
-    tops = GridCongruence(pi.n, _formula_labels(pi.n, pi.images)).block_tops()
-    return {lab: (tops[lab][1] - tops[lab][0], lattice.height[lab])
+    side = pi.n + 1
+    tops = _formula_blocks(pi.n, pi.images)[1]
+    return {lab: (tops[lab] % side - tops[lab] // side, lattice.height[lab])
             for lab in range(lattice.size)}
 
 
@@ -540,7 +558,7 @@ def grid_dot(pi: Permutation) -> str:
     congruence drawn dashed."""
     n = pi.n
     g = Grid(n)
-    kappa = GridCongruence(n, _formula_labels(n, pi.images))
+    kappa = GridCongruence(n, _formula_blocks(n, pi.images)[0])
     lines = [f"digraph grid{n} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, j in g.elements():
         lines.append(f'  g{i}_{j} [label="{i},{j}"];')

@@ -565,7 +565,9 @@ def _check_chains(lattice: FiniteLattice, left_chain: Sequence[int],
     boundary = set(left_chain) | set(right_chain)
     missing = [x for x in join_irreducibles(lattice) if x not in boundary]
     if missing:
-        raise InvalidDiagram(f"join-irreducibles {missing} not on either chain")
+        # the first ten ids: M_k has k - 2 of them, for a k up to the size cap
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise InvalidDiagram(f"join-irreducibles {missing[:10]}{more} not on either chain")
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The invariant suite behind ``slimlat verify``.
 
-Every permutation up to size 7 gets one bundle of checks (BUNDLE_CHECKS):
-the round trip through phi0 and the three extractors, the closed form
-against the closure, the source cells and regeneration, the structural
-postconditions, and the narrows against the segments.  Five suite checks
-follow: isomorphism against the equivalence, diagram counts by search,
-group realization, class counts, and random round trips.  Each side of a
-check is an independent route, so a fault in one shows as a mismatch.
+Every permutation up to size EXHAUSTIVE_CAP gets one bundle of checks
+(BUNDLE_CHECKS): the round trip through phi0 and the three extractors, the
+closed form against the closure, the source cells and regeneration, the
+structural postconditions, and the narrows against the segments.  Five
+suite checks follow: isomorphism against the equivalence, diagram counts by
+search, group realization, class counts, and random round trips.  Each side
+of a check is an independent route, so a fault in one shows as a mismatch.
 
 The command-line front end imports this module only for ``verify``.
 """
@@ -22,7 +22,9 @@ import time
 from slimlat import extract, grid, lattice, perm
 from slimlat.perm import Permutation
 
-# per-check scale caps keeping the suite desk-speed at large n
+# per-check scale caps keeping the suite desk-speed at large n; the
+# bundles run on every permutation up to EXHAUSTIVE_CAP
+EXHAUSTIVE_CAP = 7
 PAIRWISE_CAP = 4
 DIAGRAMS_CAP = 5
 GROUPS_CAP = 4
@@ -51,8 +53,10 @@ def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
         return kappa == grid.beta_from_formula(g, pi)
 
     def source_cells_regenerate() -> bool:
-        expected = frozenset(itertools.starmap(grid.GridCell, enumerate(images, start=1)))
-        return grid.source_cells(kappa) == expected and grid.regenerate(kappa) == kappa
+        # one scan of kappa's cells gives both; the cells come in row-major
+        # order, so they are the graph of pi iff they equal its (i, pi(i))
+        cells, regenerated = grid._regenerate(kappa)
+        return cells == tuple(enumerate(images, start=1)) and regenerated == kappa
 
     def structural() -> bool:
         lat = diagram.lattice
@@ -107,16 +111,17 @@ def _usable_cpus() -> int:
 
 
 def run(n_max: int, seed: int, note) -> dict:
-    """The report of the bundles up to size min(n_max, 7), then the suite
-    checks, in that order; note(message) is called with the run's one
-    progress line.  With more than one usable CPU, the suite and then the
+    """The report of the bundles up to size min(n_max, EXHAUSTIVE_CAP), then
+    the suite checks, in that order; note(message) is called with the run's
+    one progress line.  With more than one usable CPU, the suite and then the
     bundles are submitted to one process pool; with one, all run here."""
     started = time.perf_counter()
     if n_max < 0:
         raise ValueError("--n must be nonnegative")
     checks: list[dict] = []
 
-    tasks = [(k, images) for k in range(1, min(n_max, 7) + 1)
+    bundle_scale = min(n_max, EXHAUSTIVE_CAP)
+    tasks = [(k, images) for k in range(1, bundle_scale + 1)
              for images in itertools.permutations(range(1, k + 1))]
     suite = [(name, min(n_max, cap), check, min(n_max, cap)) for name, cap, check in (
         ("pairwise_iso", PAIRWISE_CAP, "_check_pairwise_iso"),
@@ -141,7 +146,7 @@ def run(n_max: int, seed: int, note) -> dict:
         bad = [task for task, fails in zip(tasks, failure_lists) if name in fails]
         checks.append({
             "name": name,
-            "scale": min(n_max, 7),
+            "scale": bundle_scale,
             "passed": not bad,
             "details": (f"{len(tasks)} permutations checked" if not bad
                         else f"{len(bad)} failures, first at {bad[0]}"),

@@ -7,7 +7,9 @@ import itertools
 
 from slimlat import iso
 from slimlat import lattice as _lattice
-from slimlat.grid import Grid
+from slimlat.extract import NotSlimSemimodular, SourceCellDuplicated, SourceCellMissing
+from slimlat.grid import (Grid, GridCongruence, HypothesisViolated, _cell_pairs,
+                          _closure_labels)
 from slimlat.iso import automorphisms, interval_sublattice
 from slimlat.lattice import dual, is_slim, join_irreducibles, narrows
 
@@ -193,6 +195,23 @@ def source_cells_by_walk(kappa):
         if a == b == t != w:
             out.append(cell)
     return frozenset(out)
+
+
+def regenerate_by_three_scans(kappa):
+    """grid.regenerate by three passes, as the library once made them: the
+    boundary edges, then the forbidden cells, then the source cells, whose
+    generators are closed.  Raises the same HypothesisViolated messages."""
+    side = kappa.n + 1
+    labels = kappa.labels
+    for i in range(1, side):
+        if labels[(i - 1) * side] == labels[i * side]:
+            raise HypothesisViolated(f"left boundary edge {i - 1}->{i} collapsed")
+        if labels[i - 1] == labels[i]:
+            raise HypothesisViolated(f"right boundary edge {i - 1}->{i} collapsed")
+    if forbidden_cells_by_walk(kappa):
+        raise HypothesisViolated("congruence has a forbidden cell")
+    pairs = _cell_pairs(kappa.n, sorted(source_cells_by_walk(kappa)))
+    return GridCongruence(kappa.n, _closure_labels(kappa.n, pairs))
 
 
 def naive_quotient_covers(kappa):
@@ -592,6 +611,45 @@ def joint_refinement_by_rounds(l1, l2, start=None):
         if len(set(n1)) == len(set(c1)) and len(set(n2)) == len(set(c2)):
             return n1, n2
         c1, c2 = n1, n2
+
+
+def opposite_edges_by_pair_loop(lattice):
+    """extract._opposite_edges as the library once built it, uncached: a
+    loop over each square's two pairs of opposite edges."""
+    size = lattice.size
+    adj = {}
+    get = adj.get
+    for w, a, b, t in _lattice.covering_squares(lattice):
+        for e, f in ((w * size + a, b * size + t), (w * size + b, a * size + t)):
+            adj[e] = get(e, ()) + (f,)
+            adj[f] = get(f, ()) + (e,)
+    if max(map(len, adj.values()), default=0) > 2:
+        raise NotSlimSemimodular("edge in more than two covering squares")
+    return adj
+
+
+def source_cell_images_by_lowest_bits(diagram):
+    """extract._source_cell_images as the library once computed it: the join
+    of c and d is the lowest set bit of their ranked up-sets' intersection,
+    the first common upper bound in the linear extension."""
+    lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
+    if not _lattice.is_semimodular(lattice):
+        raise NotSlimSemimodular("lattice is not semimodular")
+    n = diagram.n
+    up_ranked = lattice._up_ranked
+    right_up = [up_ranked[d] for d in right]
+    eta = [[m & -m for m in [up_ranked[c] & up_d for up_d in right_up]] for c in left]
+    images = []
+    for i in range(1, n + 1):
+        below, row = eta[i - 1], eta[i]
+        hits = [j for j in range(1, n + 1)
+                if below[j] == row[j - 1] == row[j] != below[j - 1]]
+        if not hits:
+            raise SourceCellMissing(f"no source cell in row {i}")
+        if len(hits) > 1:
+            raise SourceCellDuplicated(f"multiple source cells {hits} in row {i}")
+        images.append(hits[0])
+    return tuple(images)
 
 
 def phi0_mutants(d):

@@ -293,6 +293,20 @@ def test_malformed_diagram_exits_2(capsys, tmp_path, command, obj):
     assert err.startswith("error: ")
 
 
+def test_join_irreducibles_off_the_chains_are_listed_briefly(capsys, tmp_path):
+    # M_2000 has 1,998 atoms off its chains; the message names the first ten
+    k = 2000
+    obj = {"size": k + 2,
+           "covers": [[0, a] for a in range(1, k + 1)] + [[a, k + 1] for a in range(1, k + 1)],
+           "left_chain": [0, 1, k + 1], "right_chain": [0, 2, k + 1]}
+    path = tmp_path / "m2000.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err) < 300
+    assert "join-irreducibles [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 1988 more not on" in err
+
+
 @pytest.mark.parametrize("left, right", [
     ("01", [0, 1]), ([0, 1], [0, 1.0]), ([0, True], [0, 1]), ({"0": 0}, [0, 1]),
 ])
@@ -354,6 +368,31 @@ class TestVerify:
     def test_vacuous_at_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "0")
         assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_bundles_follow_the_exhaustive_cap(self, capsys, monkeypatch):
+        bundle, seen = verify._check_bundle, []
+        monkeypatch.setattr(verify, "EXHAUSTIVE_CAP", 3)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(verify, "_check_bundle", lambda task: seen.append(task) or bundle(task))
+        code, out, err = run(capsys, "verify", "--n", "4")
+        assert code == 0 and "checking 9 permutation bundles" in err
+        assert seen == [(n, images) for n in (1, 2, 3)
+                        for images in itertools.permutations(range(1, n + 1))]
+        checks = json.loads(out)["checks"]
+        bundles = len(verify.BUNDLE_CHECKS)
+        assert [(c["name"], c["scale"], c["details"]) for c in checks[:bundles]] == [
+            (name, 3, "9 permutations checked") for name in verify.BUNDLE_CHECKS]
+        assert checks[bundles]["scale"] == 4  # pairwise_iso keeps its own cap
+
+    def test_a_bundle_scans_the_cells_once(self, monkeypatch):
+        # the source cells and the regeneration hypotheses come from one scan
+        scan, scanned = grid._cell_scan, []
+        monkeypatch.setattr(grid, "_cell_scan", lambda kappa: scanned.append(kappa) or scan(kappa))
+        for n in range(1, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                scanned.clear()
+                assert verify._check_bundle((n, images)) == []
+                assert [k.labels for k in scanned] == [grid._formula_blocks(n, images)[0]]
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_check_bundle", lambda task: ["round_trip"])
@@ -452,9 +491,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_raising_bundle_check_fails_alone(self, capsys, monkeypatch, workers):
-        # regenerate now raises HypothesisViolated for every congruence
+        # regeneration, which the bundle enters through grid._regenerate,
+        # now raises HypothesisViolated for every congruence
+        def refuse(kappa):
+            raise grid.HypothesisViolated("congruence has a forbidden cell")
+
         monkeypatch.setattr(verify, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(grid, "is_cover_preserving", lambda kappa: False)
+        monkeypatch.setattr(grid, "_regenerate", refuse)
         code, out, err = run(capsys, "verify", "--n", "3")
         assert code == 1 and f"with {workers} worker(s)" in err
         checks = json.loads(out)["checks"]

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import oracles
-from slimlat import extract, grid, lattice, perm
+from slimlat import extract, grid, groups, lattice, perm
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation, rho_class
 
@@ -399,6 +399,53 @@ class TestErrorPaths:
         with pytest.raises(extract.TrajectoryAmbiguous, match=re.escape(
                 "trajectory 1 meets left edges [1] and right edges [1]")):
             extract.pi1_trajectories(unchecked_diagram(square, (0, 1, 3), (0, 1, 3)))
+
+
+def parity_corpus():
+    """Diagrams for the parity of the production extractor routines with
+    their former ones in oracles: phi0 for n <= 6, the phi0 mutants for
+    n <= 4 that pass the constructors, group diagrams for n <= 8 (every
+    permutation up to 6, 60 random ones at 7 and at 8), and two that no
+    constructor admits."""
+    diagrams = [grid.phi0(pi) for n in range(0, 7) for pi in all_perms(n)]
+    for n in range(1, 5):
+        for pi in all_perms(n):
+            for _, size, covers, left, right in oracles.phi0_mutants(grid.phi0(pi)):
+                try:
+                    diagrams.append(BorderedDiagram(FiniteLattice(size, covers), left, right))
+                except ValueError:
+                    pass
+    rng = random.Random(8)
+    for n in range(1, 9):
+        perms = list(all_perms(n)) if n <= 6 else [random_perm(rng, n) for _ in range(60)]
+        primes = groups.first_primes(n)
+        diagrams += [groups.csl_dual_diagram(groups.csl_build(primes, pi)) for pi in perms]
+    chain = (0, 1, 3, 7, 15)
+    return diagrams + [M3_DIAGRAM, unchecked_diagram(BOOLEAN_4, chain, chain)]
+
+
+class TestFormerRoutes:
+    def test_source_cells_by_masks_match_lowest_bits(self):
+        refused = 0
+        for d in parity_corpus():
+            want = refusal(lambda: oracles.source_cell_images_by_lowest_bits(d))
+            assert refusal(lambda: extract._source_cell_images(d)) == want, d
+            if want is None:
+                assert (extract._source_cell_images(d)
+                        == oracles.source_cell_images_by_lowest_bits(d)), d
+            refused += want is not None
+        assert refused > 0
+
+    def test_opposite_edges_match_the_pair_loop(self):
+        refused = 0
+        for d in parity_corpus():
+            want = refusal(lambda: oracles.opposite_edges_by_pair_loop(d.lattice))
+            assert refusal(lambda: extract._opposite_edges(d.lattice)) == want, d
+            if want is None:
+                assert (extract._opposite_edges(d.lattice)
+                        == oracles.opposite_edges_by_pair_loop(d.lattice)), d
+            refused += want is not None
+        assert refused > 0
 
 
 class TestBoundarySimilarity:

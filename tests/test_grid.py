@@ -152,7 +152,7 @@ class TestClosure:
             for pi in all_perms(n):
                 pairs = [(g.index(x), g.index(y)) for i, j in enumerate(pi.images, start=1)
                          for x, y in oracles.cell_generators(GridCell(i, j))]
-                assert grid._closure_labels(n, pairs) == grid._formula_labels(n, pi.images)
+                assert grid._closure_labels(n, pairs) == grid._formula_blocks(n, pi.images)[0]
 
     def test_closure_labels_match_formula_up_to_n96(self):
         rng = random.Random(96)
@@ -162,7 +162,7 @@ class TestClosure:
             rng.shuffle(images)
             pairs = [(g.index(x), g.index(y)) for i, j in enumerate(images, start=1)
                      for x, y in oracles.cell_generators(GridCell(i, j))]
-            assert grid._closure_labels(n, pairs) == grid._formula_labels(n, tuple(images))
+            assert grid._closure_labels(n, pairs) == grid._formula_blocks(n, tuple(images))[0]
 
     def test_closure_is_join_compatible(self):
         rng = random.Random(5)
@@ -256,6 +256,35 @@ class TestBetaFormula:
                 assert grid.beta_formula(n, pi, (lo, hi)) == kappa.collapses(lo, hi)
 
 
+def cell_corpus():
+    """The congruences of every permutation, every cell, and the closures of
+    each pair of cells for n <= 5, and 400 random partitions, most of them
+    no join-congruence."""
+    kappas = []
+    for n in range(0, 6):
+        g = Grid(n)
+        kappas += [grid.beta_from_formula(g, pi) for pi in all_perms(n)]
+        cells = list(g.cells())
+        kappas += [grid.jcong_cell(g, c) for c in cells]
+        kappas += [grid.congruence_closure(g, k1.generator_pairs() + k2.generator_pairs())
+                   for k1, k2 in itertools.combinations(kappas[-len(cells):], 2)]
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randrange(0, 6)
+        side = n + 1
+        labels = [rng.randrange(side * side // 2 + 1) for _ in range(side * side)]
+        kappas.append(GridCongruence.from_labels(n, labels, check=False))
+    return kappas
+
+
+def outcome(call, *args):
+    """call(*args), or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the type and message are the data
+        return type(exc), str(exc)
+
+
 class TestCellClassification:
     def test_beta_never_forbidden(self):
         for n in range(1, 5):
@@ -292,22 +321,8 @@ class TestCellClassification:
             {GridCell(1, 1), GridCell(2, 2), GridCell(3, 3)})
 
     def test_cells_match_walk_oracles(self):
-        kappas = []
-        for n in range(0, 6):
-            g = Grid(n)
-            kappas += [grid.beta_from_formula(g, pi) for pi in all_perms(n)]
-            cells = list(g.cells())
-            kappas += [grid.jcong_cell(g, c) for c in cells]
-            kappas += [grid.congruence_closure(g, k1.generator_pairs() + k2.generator_pairs())
-                       for k1, k2 in itertools.combinations(kappas[-len(cells):], 2)]
-        rng = random.Random(5)
-        for _ in range(400):
-            n = rng.randrange(0, 6)
-            side = n + 1
-            labels = [rng.randrange(side * side // 2 + 1) for _ in range(side * side)]
-            kappas.append(GridCongruence.from_labels(n, labels, check=False))
         flagged = 0
-        for kappa in kappas:
+        for kappa in cell_corpus():
             forbidden = grid.forbidden_cells(kappa)
             assert forbidden == oracles.forbidden_cells_by_walk(kappa), kappa
             assert grid.source_cells(kappa) == oracles.source_cells_by_walk(kappa), kappa
@@ -325,6 +340,22 @@ class TestRegenerate:
     def test_identity(self):
         kappa = GridCongruence.identity(2)
         assert grid.regenerate(kappa) == kappa
+
+    def test_one_scan_matches_three_scans(self):
+        # the same congruence, source cells and refusals, and each refusal
+        # with the message of the first broken hypothesis
+        kappas = [grid.beta_from_perm(Grid(n), pi) for n in range(0, 7) for pi in all_perms(n)]
+        refusals = set()
+        for kappa in kappas + cell_corpus():
+            want = outcome(oracles.regenerate_by_three_scans, kappa)
+            assert outcome(grid.regenerate, kappa) == want, kappa
+            if isinstance(want, GridCongruence):
+                cells = tuple(sorted(oracles.source_cells_by_walk(kappa)))
+                assert grid._regenerate(kappa) == (cells, want), kappa
+            else:
+                assert outcome(grid._regenerate, kappa) == want, kappa
+                refusals.add(want[1].split(" edge ")[0])
+        assert refusals == {"left boundary", "right boundary", "congruence has a forbidden cell"}
 
     def test_boundary_collapse_rejected(self):
         kappa = grid.congruence_closure(Grid(2), [((0, 0), (1, 0))])
@@ -583,25 +614,34 @@ class TestPhi0:
             perms.append(Permutation(tuple(images)))
         for pi in perms:
             d = grid.phi0(pi)
-            labels = grid._formula_labels(pi.n, pi.images)
+            labels = grid._formula_blocks(pi.n, pi.images)[0]
             lat, _ = grid.quotient(GridCongruence(pi.n, labels))
             side = pi.n + 1
             assert (d.lattice.covers_up, d.lattice._order) == (lat.covers_up, lat._order), pi
             assert (d.left_chain, d.right_chain) == (labels[::side], labels[:side]), pi
 
+    def test_block_tops_are_the_closed_form_keys(self):
+        rng = random.Random(23)
+        perms = [pi for n in range(0, 7) for pi in all_perms(n)]
+        perms += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in range(8, 97, 8)]
+        for pi in perms:
+            labels, tops = grid._formula_blocks(pi.n, pi.images)
+            want = GridCongruence(pi.n, labels).block_tops()
+            assert [divmod(t, pi.n + 1) for t in tops] == list(want), pi
+
     def test_memo_caches_are_bounded(self):
-        assert grid._formula_labels.cache_info().maxsize <= 4
+        assert grid._formula_blocks.cache_info().maxsize <= 4
 
     def test_memo_serves_the_permutation_just_built(self):
         pi = Permutation(tuple(range(9, 0, -1)))
-        grid._formula_labels.cache_clear()
+        grid._formula_blocks.cache_clear()
         d = grid.phi0(pi)
         grid.beta_from_formula(Grid(pi.n), pi)
-        assert grid._formula_labels.cache_info().hits == 1
+        assert grid._formula_blocks.cache_info().hits == 1
         grid.heuristic_layout(pi, d.lattice)
-        assert grid._formula_labels.cache_info().hits == 2
+        assert grid._formula_blocks.cache_info().hits == 2
         grid.beta_from_perm(Grid(pi.n), pi)
-        assert grid._formula_labels.cache_info().hits == 3
+        assert grid._formula_blocks.cache_info().hits == 3
 
     def test_production_never_runs_the_closure(self, monkeypatch, capsys):
         def refuse(*args):
