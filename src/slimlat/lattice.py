@@ -8,10 +8,10 @@ Conventions:
       binary joins and meets everywhere, otherwise construction fails.
     - ``up[x]`` / ``down[x]`` are bitmask encodings of the up-set and
       down-set of ``x``; order queries are bit tests on them, and join and
-      meet are computed on demand from the cones.
+      meet are walked to through the covers on demand.
     - A lattice holds O(size + |covers|) data, the cover lists, heights and
       a linear extension, until a cone or the set ``covers`` is first read;
-      the cones then take O(size^2) bits.
+      the two cones then take O(size^2) bits.
 
 The module also provides the predicates used throughout the package
 (semimodularity, slimness, narrows, covering squares) and the
@@ -33,10 +33,10 @@ from slimlat.perm import _Frozen
 # allocated: a 69-byte file claiming 20,000 elements and no covers used to
 # reach 125 MB of peak RSS before it was refused.  The cap admits every build
 # output: the largest at the permutation size cap 128 is the reversal's,
-# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.14 s and
-# 68 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
+# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.11 s and
+# 36 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
 # bound check makes k(k - 1)/2 tests for an element with k upper covers, so
-# export-dot of M_8255 at the cap takes 19 s.  extract refuses M_8255's
+# export-dot of M_8255 at the cap takes 8.3 s.  extract refuses M_8255's
 # diagram in 0.1 s, as diagram_from_json checks the chains first.
 JSON_SIZE_CAP = 8257
 
@@ -70,26 +70,23 @@ class FiniteLattice:
 
     _fill builds every lattice from its upper covers and a linear extension:
     the lower covers, the heights and the bounds cost O(size + |covers|)
-    time and space.  The cones (up, down and the two ranked by the linear
-    extension) cost O(size + |covers|) operations on size-bit masks and
-    O(size^2) bits; _from_covers_up leaves them to the first read of any of
-    them (see _ConesOnDemand), so a lattice that is only stored, compared
-    by its covers or serialized never builds them.  The set covers is built
-    on first read.  Join and meet are computed from the cones: a comparable
-    pair answers from the order, and an incomparable one with one lowest or
-    highest set bit of the intersection of two cones whose bits are
-    numbered by the linear extension.
+    time and space.  The two cones, up and down, cost O(size + |covers|)
+    operations on size-bit masks and O(size^2) bits; _from_covers_up leaves
+    them to the first read of either (see _ConesOnDemand), so a lattice that
+    is only stored, compared by its covers or serialized never builds them.
+    The set covers is built on first read.  Join and meet walk through the
+    covers to the element whose cone is the intersection of two cones (see
+    _walk).
 
     The constructor validates its input: the covers must be the transitive
-    reduction of a bounded order, and one such bit search per pair of upper
-    covers of an element checks that every pair has a join and a meet (see
+    reduction of a bounded order, and one cover test or walk per pair of
+    upper covers of an element checks that every pair has a join and a meet (see
     _check_bounds).  _from_covers_up builds the lattices known to be
     lattices by construction without that check.
     """
 
     __slots__ = ("size", "covers_up", "covers_down", "up", "down",
-                 "height", "bottom", "top", "_order", "_up_ranked", "_down_ranked",
-                 "_cache")
+                 "height", "bottom", "top", "_order", "_cache")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]]):
         self._fill_bounded_order(size, covers)
@@ -181,29 +178,23 @@ class FiniteLattice:
         self._cache: dict = {}
 
     def _fill_cones(self) -> None:
-        """Sets the four cones together: the up-set and down-set masks by
-        id, and by position in the linear extension.  Cost: O(size +
-        |covers|) operations on size-bit masks, O(size^2) bits."""
-        size, order, covers_up = self.size, self._order, self.covers_up
-        covers_down = self.covers_down
-        up, down, up_r, down_r = ([0] * size for _ in range(4))
-        for k, x in enumerate(order):
-            mask, ranked = 1 << x, 1 << k
+        """Sets the two cones together: the up-set and down-set masks, one
+        pass along the linear extension each.  Cost: O(size + |covers|)
+        operations on size-bit masks, O(size^2) bits."""
+        order, covers_up, covers_down = self._order, self.covers_up, self.covers_down
+        up, down = [0] * self.size, [0] * self.size
+        for x in order:
+            mask = 1 << x
             for y in covers_down[x]:
                 mask |= down[y]
-                ranked |= down_r[y]
-            down[x], down_r[x] = mask, ranked
-        for k in range(size - 1, -1, -1):
-            x = order[k]
-            mask, ranked = 1 << x, 1 << k
+            down[x] = mask
+        for x in reversed(order):
+            mask = 1 << x
             for y in covers_up[x]:
                 mask |= up[y]
-                ranked |= up_r[y]
-            up[x], up_r[x] = mask, ranked
+            up[x] = mask
         self.up = tuple(up)
         self.down = tuple(down)
-        self._up_ranked = tuple(up_r)
-        self._down_ranked = tuple(down_r)
 
     def _check_reduced(self) -> None:
         up, down = self.up, self.down
@@ -215,13 +206,14 @@ class FiniteLattice:
     def _check_bounds(self) -> None:
         """Raises NotALattice unless every pair has a join and a meet, given
         a bounded order.  It tests the pairs of upper covers of each element
-        only, and runs _scan_bounds, which names the first pair without a
-        join or a meet, when one of them has no join.
+        only, and names the first of them without a join.
 
-        A pair has a join iff the first of its common upper bounds in the
-        linear extension has exactly the common upper bounds above it.  The
-        cover pairs decide every pair in a finite poset with a least
-        element:
+        A pair a, b has a join iff _walk from a reaches the element whose
+        up-set is their common upper bounds.  The join of two upper covers
+        of one element covers both in a semimodular lattice, so an upper
+        cover of a is tried first and the walk runs only when none is the
+        join.  The cover pairs decide every pair in a finite poset with a
+        least element:
           - Suppose some pair x, y has no join.  Among such pairs take one
             with a common lower bound z of the greatest height h.
           - Take upper covers x1 <= x and y1 <= y of z.  They are distinct,
@@ -233,38 +225,22 @@ class FiniteLattice:
             v in turn, and v lies above x and y.  So v = x v y, a
             contradiction.
         Meets follow: in a finite join-semilattice with a least element the
-        meet of x and y is the join of their common lower bounds.  A failing
-        cover pair has no join, so the scan always raises.  Cost: O(sum of
-        squared up-degrees) size-bit mask operations, at most size for a
-        slim lattice.
+        meet of x and y is the join of their common lower bounds.  Cost:
+        O(sum of squared up-degrees) size-bit mask operations when the
+        lattice is semimodular, at most size for a slim one; the walk adds
+        O(height * up-degree) of them for each pair it runs on.
         """
-        order, up = self._order, self._up_ranked
-        for ups in self.covers_up:
+        covers_up, up = self.covers_up, self.up
+        for ups in covers_up:
             if len(ups) > 1:
                 for a, b in itertools.combinations(ups, 2):
                     common = up[a] & up[b]
-                    if up[order[(common & -common).bit_length() - 1]] != common:
-                        self._scan_bounds()
-
-    def _scan_bounds(self) -> None:
-        # Every pair has a join iff, for every incomparable pair, the first
-        # common upper bound in the linear extension has exactly the common
-        # upper bounds above it; dually for meets.  The pairs are met in
-        # i-major order, j ascending.
-        full = (1 << self.size) - 1
-        order, up, down = self._order, self._up_ranked, self._down_ranked
-        for i, (up_i, down_i) in enumerate(zip(up, down)):
-            rest = (full ^ (self.up[i] | self.down[i])) >> i << i
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                common = up_i & up[j]
-                if up[order[(common & -common).bit_length() - 1]] != common:
-                    raise NotALattice(f"elements {i} and {j} have no join")
-                common = down_i & down[j]
-                if down[order[common.bit_length() - 1]] != common:
-                    raise NotALattice(f"elements {i} and {j} have no meet")
+                    for t in covers_up[a]:
+                        if up[t] == common:
+                            break
+                    else:
+                        if _walk(a, common, covers_up, up) < 0:
+                            raise NotALattice(f"elements {a} and {b} have no join")
 
     # -- queries ------------------------------------------------------------
 
@@ -275,22 +251,12 @@ class FiniteLattice:
         return self.leq(x, y) or self.leq(y, x)
 
     def join(self, x: int, y: int) -> int:
-        if self.down[y] >> x & 1:
-            return y
-        if self.down[x] >> y & 1:
-            return x
-        # the join lies below every other common upper bound, so it comes
-        # first among them in the linear extension
-        common = self._up_ranked[x] & self._up_ranked[y]
-        return self._order[(common & -common).bit_length() - 1]
+        up = self.up
+        return _walk(x, up[x] & up[y], self.covers_up, up)
 
     def meet(self, x: int, y: int) -> int:
-        if self.down[y] >> x & 1:
-            return x
-        if self.down[x] >> y & 1:
-            return y
-        common = self._down_ranked[x] & self._down_ranked[y]
-        return self._order[common.bit_length() - 1]
+        down = self.down
+        return _walk(x, down[x] & down[y], self.covers_down, down)
 
     @property
     def covers(self) -> frozenset[tuple[int, int]]:
@@ -339,12 +305,33 @@ class FiniteLattice:
         return f"FiniteLattice(size={self.size}, covers={sorted(self.covers)})"
 
 
-_CONES = frozenset(("up", "down", "_up_ranked", "_down_ranked"))
+def _walk(x: int, common: int, covers: Sequence[Sequence[int]], cone: Sequence[int]) -> int:
+    """The element whose cone is common, or -1 if there is none, walked to
+    from x, whose cone must contain common, through covers whose cones
+    contain common.  With the upper covers and up-sets and common the
+    common upper bounds of x and y, that element is x v y; with the lower
+    covers and down-sets, it is x ^ y.
+
+    If that element z exists, it lies in common, so in the cone of every x
+    on the walk; an x other than z then has a cover t with z in its cone,
+    so that the cone of t contains that of z, which is common.  Cost:
+    O(height * degree) size-bit mask operations."""
+    while cone[x] != common:
+        for t in covers[x]:
+            if cone[t] & common == common:
+                x = t
+                break
+        else:
+            return -1
+    return x
+
+
+_CONES = frozenset(("up", "down"))
 
 
 class _ConesOnDemand(FiniteLattice):
-    """A FiniteLattice whose cones are not built yet.  The first read of any
-    of them builds all four and makes the instance a plain FiniteLattice.
+    """A FiniteLattice whose cones are not built yet.  The first read of
+    either builds both and makes the instance a plain FiniteLattice.
 
     Only this class has __getattr__: CPython does not specialize attribute
     reads on a class that defines it, and on 3.11 that made every read of

@@ -24,7 +24,7 @@ from slimlat.perm import Permutation
 
 # per-check scale caps keeping the suite desk-speed at large n; the
 # bundles run on every permutation up to EXHAUSTIVE_CAP
-EXHAUSTIVE_CAP = 7
+EXHAUSTIVE_CAP = 8
 PAIRWISE_CAP = 4
 DIAGRAMS_CAP = 5
 GROUPS_CAP = 4

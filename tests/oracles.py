@@ -271,8 +271,7 @@ def set_bits(mask):
 def eager_order_data(lattice):
     """The cones, heights and cover set of a lattice, built from its upper
     covers and linear extension alone by one pass down the extension and
-    one up it: (up, down, up ranked, down ranked, height, covers), where the
-    ranked cones number their bits by position in the extension."""
+    one up it: (up, down, height, covers)."""
     size, order, covers_up = lattice.size, lattice._order, lattice.covers_up
     downs = [[] for _ in range(size)]
     covers = []
@@ -280,23 +279,20 @@ def eager_order_data(lattice):
         for y in ys:
             downs[y].append(x)
             covers.append((x, y))
-    up, down, height, up_r, down_r = ([0] * size for _ in range(5))
-    for k, x in enumerate(order):
-        mask, ranked, h = 1 << x, 1 << k, 0
+    up, down, height = ([0] * size for _ in range(3))
+    for x in order:
+        mask, h = 1 << x, 0
         for y in downs[x]:
             mask |= down[y]
-            ranked |= down_r[y]
             if height[y] >= h:
                 h = height[y] + 1
-        down[x], down_r[x], height[x] = mask, ranked, h
-    for k in range(size - 1, -1, -1):
-        x = order[k]
-        mask, ranked = 1 << x, 1 << k
+        down[x], height[x] = mask, h
+    for x in reversed(order):
+        mask = 1 << x
         for y in covers_up[x]:
             mask |= up[y]
-            ranked |= up_r[y]
-        up[x], up_r[x] = mask, ranked
-    return tuple(up), tuple(down), tuple(up_r), tuple(down_r), tuple(height), frozenset(covers)
+        up[x] = mask
+    return tuple(up), tuple(down), tuple(height), frozenset(covers)
 
 
 def naive_bound_tables(lattice):
@@ -631,12 +627,19 @@ def opposite_edges_by_pair_loop(lattice):
 def source_cell_images_by_lowest_bits(diagram):
     """extract._source_cell_images as the library once computed it: the join
     of c and d is the lowest set bit of their ranked up-sets' intersection,
-    the first common upper bound in the linear extension."""
+    the first common upper bound in the linear extension.  The ranked
+    up-sets, whose bits are numbered by position in the extension, are built
+    here by one pass down it."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
     if not _lattice.is_semimodular(lattice):
         raise NotSlimSemimodular("lattice is not semimodular")
     n = diagram.n
-    up_ranked = lattice._up_ranked
+    up_ranked = [0] * lattice.size
+    for k in range(lattice.size - 1, -1, -1):
+        x = lattice._order[k]
+        up_ranked[x] = 1 << k
+        for y in lattice.covers_up[x]:
+            up_ranked[x] |= up_ranked[y]
     right_up = [up_ranked[d] for d in right]
     eta = [[m & -m for m in [up_ranked[c] & up_d for up_d in right_up]] for c in left]
     images = []

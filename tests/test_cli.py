@@ -56,6 +56,8 @@ class TestParsePermutation:
             parse_permutation("(1 5)", n=3)
         with pytest.raises(ValueError):
             parse_permutation("2,1", n=3)
+        with pytest.raises(ValueError, match="negative"):
+            parse_permutation("()", n=-3)
 
     def test_size_cap(self):
         cap = cli.SIZE_CAP
@@ -75,6 +77,12 @@ class TestParsePermutation:
         assert time.perf_counter() - started < 0.1
         assert code == 2 and out == ""
         assert "TooLarge" in err
+
+    @pytest.mark.parametrize("command", ["build", "render-grid", "group-realize"])
+    def test_negative_size_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--perm", "()", "--n", "-3")
+        assert code == 2 and out == ""
+        assert "negative" in err
 
 
 class TestBuild:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -66,8 +67,8 @@ class TestFromCovers:
         with pytest.raises(lattice.NotALattice, match="no join"):
             lattice.from_covers(6, HEXAGON_POSET)
         # reversed, 1 and 2 have a join (the new top 0) but two maximal
-        # common lower bounds
-        with pytest.raises(lattice.NotALattice, match="no meet"):
+        # common lower bounds, 3 and 4, which have no join
+        with pytest.raises(lattice.NotALattice, match="elements 3 and 4 have no join"):
             lattice.from_covers(6, [(b, a) for a, b in HEXAGON_POSET])
 
     def test_tables_match_naive_scan(self):
@@ -161,29 +162,31 @@ class TestBounds:
         # least and greatest, least only, greatest only, neither
         assert min(kinds[k] for k in itertools.product((True, False), repeat=2)) >= 50
 
-    def test_cover_pairs_decide_like_naive_tables(self, monkeypatch):
-        # the cover-pair test alone: the scan it falls back on only records
-        scanned = []
-        monkeypatch.setattr(FiniteLattice, "_scan_bounds", lambda self: scanned.append(self))
+    def test_cover_pairs_decide_like_naive_tables(self):
         rng = random.Random(18)
         rejected = 0
         for _ in range(2000):
             size, covers = reduced_dag(rng, rng.randrange(3, 11), True, True)
-            scanned.clear()
-            joins, meets = oracles.naive_bound_tables(FiniteLattice(size, covers))
+            order = FiniteLattice.__new__(FiniteLattice)  # the bounded order, unchecked
+            order._fill_bounded_order(size, covers)
+            joins, meets = oracles.naive_bound_tables(order)
             is_lattice = not any(None in row for row in joins + meets)
-            assert is_lattice != bool(scanned), covers
-            rejected += not is_lattice
+            try:
+                FiniteLattice(size, covers)
+            except lattice.NotALattice as exc:
+                assert not is_lattice, covers
+                a, b = map(int, re.fullmatch(r"elements (\d+) and (\d+) have no join",
+                                             str(exc)).groups())
+                assert joins[a][b] is None, covers
+                rejected += 1
+            else:
+                assert is_lattice, covers
         assert rejected >= 300  # 397
 
-    def test_valid_input_never_runs_the_scan(self, monkeypatch):
-        def scan(self):
-            raise AssertionError("all-pairs scan")
-
+    def test_valid_input_never_runs_the_scan(self):
         built = [grid.phi0(Permutation(images)).lattice
                  for n in range(7) for images in itertools.permutations(range(1, n + 1))]
         reversal = lattice.diagram_to_json(grid.phi0(Permutation(tuple(range(96, 0, -1)))))
-        monkeypatch.setattr(FiniteLattice, "_scan_bounds", scan)
         for lat in built:
             for each in (lat, lattice.dual(lat)):
                 assert lattice.from_covers(each.size, each.covers) == each
@@ -217,7 +220,7 @@ class TestTrustedBuilders:
             assert lattice.interval_sublattice(lat, lat.bottom, lat.top)[0].size == lat.size
 
 
-CONES = ("up", "down", "_up_ranked", "_down_ranked")
+CONES = ("up", "down")
 
 
 def built(lat):
@@ -265,17 +268,16 @@ class TestConesOnDemand:
         assert len(lattices) > 12_000
         for lat in lattices:
             want = oracles.eager_order_data(lat)
-            assert (lat.up, lat.down, lat._up_ranked, lat._down_ranked,
-                    lat.height, lat.covers) == want
+            assert (lat.up, lat.down, lat.height, lat.covers) == want
             assert lattice.lattice_to_json(lat)["covers"] == sorted(map(list, want[-1]))
 
-    def test_read_one_builds_all_four_cones(self):
+    def test_read_one_builds_both_cones(self):
         lat = grid.phi0(Permutation((3, 1, 4, 2))).lattice
-        assert built(lat) == [False] * 5
+        assert built(lat) == [False] * 3
         assert lat.leq(lat.bottom, lat.top)
-        assert built(lat) == [True] * 4 + [False] and type(lat) is FiniteLattice
+        assert built(lat) == [True] * 2 + [False] and type(lat) is FiniteLattice
         assert lat.is_cover(lat.bottom, lat.covers_up[lat.bottom][0])
-        assert built(lat) == [True] * 5
+        assert built(lat) == [True] * 3
         for lat in (grid.phi0(Permutation((2, 1))).lattice, lat):  # coneless, then built
             with pytest.raises(AttributeError, match="no attribute 'nothing'"):
                 lat.nothing
@@ -287,7 +289,7 @@ class TestConesOnDemand:
             lattice.diagram_to_json(d)
             grid.heuristic_layout(pi, d.lattice)
             lattice.to_dot(d.lattice)
-            assert built(d.lattice) == [False] * 5, images
+            assert built(d.lattice) == [False] * 3, images
 
 
 class TestPredicates:
