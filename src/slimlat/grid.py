@@ -164,21 +164,16 @@ class GridCongruence(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "GridCongruence":
-        return cls(n, tuple(range((n + 1) * (n + 1))))
+        return cls(n, tuple(range(Grid(n).size)))
 
     @classmethod
     def from_labels(cls, n: int, labels: Iterable[int], check: bool = True
                     ) -> "GridCongruence":
-        raw = list(labels)
-        if len(raw) != (n + 1) * (n + 1):
-            raise ValueError(f"expected {(n + 1) * (n + 1)} labels, got {len(raw)}")
+        raw, size = list(labels), Grid(n).size
+        if len(raw) != size:
+            raise ValueError(f"expected {size} labels, got {len(raw)}")
         canon: dict[int, int] = {}
-        out = []
-        for lab in raw:
-            if lab not in canon:
-                canon[lab] = len(canon)
-            out.append(canon[lab])
-        result = cls(n, tuple(out))
+        result = cls(n, tuple([canon.setdefault(lab, len(canon)) for lab in raw]))
         if check and not result.is_join_compatible():
             raise ValueError("partition is not join-compatible")
         return result

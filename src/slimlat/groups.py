@@ -31,6 +31,7 @@ i-th downward step of a series.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 
@@ -76,8 +77,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 @functools.lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases 2..37, memoized for
-    csl_build.  The least composite that passes them all exceeds 3 * 10^23
-    (Sorenson and Webster, 2015), so the answer is exact for every p below
+    csl_build and first_primes (the first 128 primes take 718 candidates).
+    The least composite that passes them all exceeds 3 * 10^23 (Sorenson
+    and Webster, 2015), so the answer is exact for every p below
     ``_ORDER_CAP``."""
     if p < 2:
         return False
@@ -102,25 +104,12 @@ def _is_prime(p: int) -> bool:
 
 
 def first_primes(n: int) -> tuple[int, ...]:
-    """The n smallest primes, by trial division of each candidate by the
-    primes already found, up to its square root.
+    """The n smallest primes, each candidate tested by _is_prime.
 
     >>> first_primes(5)
     (2, 3, 5, 7, 11)
     """
-    out: list[int] = []
-    p = 2
-    while len(out) < n:
-        for q in out:
-            if q * q > p:
-                out.append(p)
-                break
-            if p % q == 0:
-                break
-        else:
-            out.append(p)
-        p += 1
-    return tuple(out)
+    return tuple(itertools.islice(filter(_is_prime, itertools.count(2)), n))
 
 
 def csl_build(primes: Sequence[int], pi: Permutation) -> CyclicCslInstance:

@@ -4,14 +4,16 @@ Conventions:
     - Elements are the integers ``0..size-1``.
     - ``covers`` holds ordered pairs ``(lower, upper)`` and must be the
       transitive reduction of the reachability order (a Hasse diagram).
+      A lattice keeps them as ascending upper cover lists, ``covers_up``,
+      which are its identity: equality, hashing, pickling and the repr.
     - The reachability order must have a least and a greatest element and
       binary joins and meets everywhere, otherwise construction fails.
     - ``up[x]`` / ``down[x]`` are bitmask encodings of the up-set and
       down-set of ``x``; order queries are bit tests on them, and join and
       meet are walked to through the covers on demand.
     - A lattice holds O(size + |covers|) data, the cover lists, heights and
-      a linear extension, until a cone or the set ``covers`` is first read;
-      the two cones then take O(size^2) bits.
+      a linear extension, until a cone is first read; the two cones then
+      take O(size^2) bits.
 
 The module also provides the predicates used throughout the package
 (semimodularity, slimness, narrows, covering squares) and the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
-from slimlat.perm import _Frozen
+from slimlat.perm import TooLarge, _Frozen
 
 # The largest lattice size lattice_from_json accepts.  Validation costs
 # O(size^2) bits of masks, so the size is checked before anything is
@@ -53,10 +55,6 @@ class NotALattice(ValueError):
     """The reachability order is not a lattice."""
 
 
-class TooLarge(ValueError):
-    """Input exceeds a configured size cap."""
-
-
 class CoverOutOfRange(ValueError, IndexError):
     """A cover names an element outside 0..size-1."""
 
@@ -71,12 +69,11 @@ class FiniteLattice:
     _fill builds every lattice from its upper covers and a linear extension:
     the lower covers, the heights and the bounds cost O(size + |covers|)
     time and space.  The two cones, up and down, cost O(size + |covers|)
-    operations on size-bit masks and O(size^2) bits; _from_covers_up leaves
-    them to the first read of either (see _ConesOnDemand), so a lattice that
-    is only stored, compared by its covers or serialized never builds them.
-    The set covers is built on first read.  Join and meet walk through the
-    covers to the element whose cone is the intersection of two cones (see
-    _walk).
+    operations on size-bit masks and O(size^2) bits; the first read of
+    either property builds both, so a lattice that is only stored, compared
+    by its cover lists or serialized never builds them.  Join and meet
+    answer a comparable pair at once, and otherwise walk through the covers
+    to the element whose cone is the intersection of two cones (see _walk).
 
     The constructor validates its input: the covers must be the transitive
     reduction of a bounded order, and one cover test or walk per pair of
@@ -85,7 +82,7 @@ class FiniteLattice:
     lattices by construction without that check.
     """
 
-    __slots__ = ("size", "covers_up", "covers_down", "up", "down",
+    __slots__ = ("size", "covers_up", "covers_down", "_up", "_down",
                  "height", "bottom", "top", "_order", "_cache")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]]):
@@ -107,7 +104,7 @@ class FiniteLattice:
         are lattices by construction.  Cost: that of _fill; the cones wait
         for their first read.
         """
-        self = _ConesOnDemand.__new__(_ConesOnDemand)
+        self = FiniteLattice.__new__(FiniteLattice)
         self._fill(covers_up, order)
         return self
 
@@ -146,7 +143,6 @@ class FiniteLattice:
         if len(order) != size:
             raise Cyclic("cover relation has a cycle")
         self._fill(ups, order)
-        self._fill_cones()
         self._check_reduced()
         # a least element is the only source, so every linear extension
         # starts with it; dually for the greatest
@@ -158,6 +154,7 @@ class FiniteLattice:
         """Sets the linear data from the ascending upper cover lists and a
         linear extension: the lower cover lists, the heights, order[0] as
         the bottom and order[-1] as the top, but not the cones."""
+        self._up = self._down = None
         self.size = size = len(order)
         self.covers_up = covers_up = tuple(map(tuple, covers_up))
         downs: list[list[int]] = [[] for _ in range(size)]
@@ -193,8 +190,8 @@ class FiniteLattice:
             for y in covers_up[x]:
                 mask |= up[y]
             up[x] = mask
-        self.up = tuple(up)
-        self.down = tuple(down)
+        self._up = tuple(up)
+        self._down = tuple(down)
 
     def _check_reduced(self) -> None:
         up, down = self.up, self.down
@@ -244,6 +241,20 @@ class FiniteLattice:
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def up(self) -> tuple[int, ...]:
+        """The up-set masks: bit y of up[x] is set iff x <= y."""
+        if self._up is None:
+            self._fill_cones()
+        return self._up
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """The down-set masks: bit y of down[x] is set iff y <= x."""
+        if self._down is None:
+            self._fill_cones()
+        return self._down
+
     def leq(self, x: int, y: int) -> bool:
         return bool(self.down[y] >> x & 1)
 
@@ -252,20 +263,21 @@ class FiniteLattice:
 
     def join(self, x: int, y: int) -> int:
         up = self.up
-        return _walk(x, up[x] & up[y], self.covers_up, up)
+        common = up[x] & up[y]
+        return y if common == up[y] else _walk(x, common, self.covers_up, up)
 
     def meet(self, x: int, y: int) -> int:
         down = self.down
-        return _walk(x, down[x] & down[y], self.covers_down, down)
+        common = down[x] & down[y]
+        return y if common == down[y] else _walk(x, common, self.covers_down, down)
 
     @property
     def covers(self) -> frozenset[tuple[int, int]]:
-        """The cover pairs (lower, upper), built on first read."""
-        return _cached(self, "covers", lambda: frozenset(
-            [(x, y) for x, ys in enumerate(self.covers_up) for y in ys]))
+        """The cover pairs (lower, upper), built on each read."""
+        return frozenset(self._pairs())
 
     def is_cover(self, x: int, y: int) -> bool:
-        return (x, y) in self.covers
+        return y in self.covers_up[x]
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         return self.covers_up[x]
@@ -290,19 +302,22 @@ class FiniteLattice:
 
     # -- identity -----------------------------------------------------------
 
+    def _pairs(self) -> list[tuple[int, int]]:
+        # ascending cover lists walked by element give the pairs in sorted order
+        return [(x, y) for x, ys in enumerate(self.covers_up) for y in ys]
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteLattice)
-                and self.size == other.size and self.covers == other.covers)
+        return isinstance(other, FiniteLattice) and self.covers_up == other.covers_up
 
     def __hash__(self) -> int:
-        return hash((self.size, self.covers))
+        return hash(self.covers_up)
 
     def __reduce__(self):
         # through the validating constructor, as _Frozen values are rebuilt
-        return FiniteLattice, (self.size, self.covers)
+        return FiniteLattice, (self.size, self._pairs())
 
     def __repr__(self) -> str:
-        return f"FiniteLattice(size={self.size}, covers={sorted(self.covers)})"
+        return f"FiniteLattice(size={self.size}, covers={self._pairs()})"
 
 
 def _walk(x: int, common: int, covers: Sequence[Sequence[int]], cone: Sequence[int]) -> int:
@@ -324,29 +339,6 @@ def _walk(x: int, common: int, covers: Sequence[Sequence[int]], cone: Sequence[i
         else:
             return -1
     return x
-
-
-_CONES = frozenset(("up", "down"))
-
-
-class _ConesOnDemand(FiniteLattice):
-    """A FiniteLattice whose cones are not built yet.  The first read of
-    either builds both and makes the instance a plain FiniteLattice.
-
-    Only this class has __getattr__: CPython does not specialize attribute
-    reads on a class that defines it, and on 3.11 that made every read of
-    every lattice attribute 1.7 times as slow.  After the switch, leq, join
-    and meet read their slots at full speed."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # called only when the usual lookup fails, as for an unset slot
-        if name not in _CONES:
-            raise AttributeError(f"'FiniteLattice' object has no attribute {name!r}")
-        self._fill_cones()
-        self.__class__ = FiniteLattice
-        return getattr(self, name)
 
 
 def from_covers(size: int, covers: Iterable[tuple[int, int]]) -> FiniteLattice:
@@ -467,9 +459,9 @@ def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
     intervals between consecutive narrows are the glued-sum components.
     """
     def compute():
-        full = (1 << lattice.size) - 1
-        out = [x for x in range(lattice.size)
-               if lattice.up[x] | lattice.down[x] == full]
+        size = lattice.size
+        full = (1 << size) - 1
+        out = [x for x, u, d in zip(range(size), lattice.up, lattice.down) if u | d == full]
         out.sort(key=lambda x: lattice.height[x])
         return tuple(out)
     return _cached(lattice, "narrows", compute)
@@ -560,9 +552,7 @@ def _check_chains(lattice: FiniteLattice, left_chain: Sequence[int],
 # -- serialization -------------------------------------------------------------
 
 def lattice_to_json(lattice: FiniteLattice) -> dict:
-    # ascending cover lists walked by element give the pairs in sorted order
-    return {"size": lattice.size,
-            "covers": [[x, y] for x, ys in enumerate(lattice.covers_up) for y in ys]}
+    return {"size": lattice.size, "covers": list(map(list, lattice._pairs()))}
 
 
 def _integers(value, what: str) -> tuple[int, ...]:

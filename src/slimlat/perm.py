@@ -39,7 +39,7 @@ class LengthMismatch(ValueError):
 
 
 class TooLarge(ValueError):
-    """Requested exhaustive enumeration beyond the configured cap."""
+    """Input exceeds a configured size cap."""
 
 
 class IntervalOutOfRange(ValueError):

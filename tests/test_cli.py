@@ -190,6 +190,13 @@ class TestExtract:
         assert code == 2
         assert "semimodular" in err
 
+    def test_extractor_disagreement_exits_1(self, capsys, tmp_path, monkeypatch):
+        path = self.write_diagram(tmp_path, (2, 3, 1))
+        monkeypatch.setattr(extract, "_source_cell_images", lambda diagram: (3, 1, 2))
+        code, out, err = run(capsys, "extract", "--diagram", path)
+        assert code == 1 and out == ""
+        assert err.startswith("verification failure: ExtractorDisagreement")
+
     def test_round_trip_through_build(self, capsys, tmp_path):
         code, out, _ = run(capsys, "build", "--perm", "(1 2 3)(5 6 7)")
         assert code == 0
@@ -218,6 +225,13 @@ class TestCount:
         code, out, err = run(capsys, "count", "--n", str(perm.COUNT_CAP + 1))
         assert code == 2 and out == ""
         assert "TooLarge" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "count"])
+def test_negative_n_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--n", "-1")
+    assert code == 2 and out == ""
+    assert "must be nonnegative" in err
 
 
 class TestRenderGrid:

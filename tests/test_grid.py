@@ -195,6 +195,10 @@ class TestBeta:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             grid.beta_from_perm(Grid(3), Permutation((2, 1)))
+        with pytest.raises(LengthMismatch):
+            grid.beta_from_formula(Grid(3), Permutation((2, 1)))
+        with pytest.raises(LengthMismatch):
+            grid.beta_formula(3, Permutation((2, 1)), ((0, 0), (1, 0)))
 
     def test_check_is_on_by_default(self, monkeypatch):
         # a closure that drops the last generator, whatever the interpreter's -O

@@ -237,6 +237,10 @@ class TestFirstPrimes:
     def test_values(self):
         assert first_primes(0) == ()
         assert first_primes(6) == (2, 3, 5, 7, 11, 13)
+        primes = tuple(filter(oracles.trial_division_is_prime, range(720)))
+        assert len(primes) == 128
+        for n in range(129):
+            assert first_primes(n) == primes[:n], n
 
 
 class TestIsPrime:

@@ -88,6 +88,26 @@ class TestFromCovers:
             meets = tuple(tuple(lat.meet(i, j) for j in elems) for i in elems)
             assert (joins, meets) == oracles.naive_bound_tables(lat)
 
+    def test_comparable_pairs_need_no_walk(self, monkeypatch):
+        lattices = [grid.phi0(Permutation(images)).lattice
+                    for n in range(6) for images in itertools.permutations(range(1, n + 1))]
+
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(lattice, "_walk", walk)
+        pairs = 0
+        for lat in lattices:
+            for x, y in itertools.product(range(lat.size), repeat=2):
+                # the bound named second is returned without a walk; named
+                # first, the walk stops where it starts
+                if lat.leq(x, y):
+                    assert lat.join(x, y) == y and lat.meet(y, x) == x
+                    pairs += 1
+        assert pairs > 7000  # 7,189
+        with pytest.raises(AssertionError, match="walked"):
+            B2.join(1, 2)
+
     def test_transitive_edge_rejected(self):
         with pytest.raises(lattice.NotReduced):
             lattice.from_covers(3, [(0, 1), (1, 2), (0, 2)])
@@ -226,13 +246,7 @@ CONES = ("up", "down")
 def built(lat):
     """Which of the cones and the cover set a lattice holds, read without
     building them."""
-    def slot_set(name):
-        try:
-            FiniteLattice.__dict__[name].__get__(lat)
-        except AttributeError:
-            return False
-        return True
-    return [slot_set(name) for name in CONES] + ["covers" in lat._cache]
+    return [getattr(lat, f"_{name}") is not None for name in CONES] + ["covers" in lat._cache]
 
 
 class TestConesOnDemand:
@@ -273,11 +287,14 @@ class TestConesOnDemand:
 
     def test_read_one_builds_both_cones(self):
         lat = grid.phi0(Permutation((3, 1, 4, 2))).lattice
-        assert built(lat) == [False] * 3
-        assert lat.leq(lat.bottom, lat.top)
-        assert built(lat) == [True] * 2 + [False] and type(lat) is FiniteLattice
+        assert built(lat) == [False] * 3 and type(lat) is FiniteLattice
         assert lat.is_cover(lat.bottom, lat.covers_up[lat.bottom][0])
-        assert built(lat) == [True] * 3
+        assert not lat.is_cover(lat.bottom, lat.top)
+        assert built(lat) == [False] * 3  # is_cover reads the cover lists only
+        assert lat.leq(lat.bottom, lat.top)
+        assert built(lat) == [True] * 2 + [False]
+        assert lat.covers == frozenset(oracles.eager_order_data(lat)[-1])
+        assert built(lat) == [True] * 2 + [False]  # no pair set is cached
         for lat in (grid.phi0(Permutation((2, 1))).lattice, lat):  # coneless, then built
             with pytest.raises(AttributeError, match="no attribute 'nothing'"):
                 lat.nothing
@@ -763,6 +780,8 @@ class TestIntervalAndChains:
         sub, elems = lattice.interval_sublattice(N5, 0, 2)
         assert elems == (0, 1, 2)
         assert sub.length == 2
+        with pytest.raises(ValueError, match="4 is not below 0"):
+            lattice.interval_sublattice(N5, N5.top, N5.bottom)
 
     def test_maximal_chains(self):
         chains = oracles.maximal_chains(B2, 0, 3)

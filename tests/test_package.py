@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import slimlat
-from slimlat import extract, grid, groups, perm
+from slimlat import extract, grid, groups, lattice, perm
 from slimlat.grid import Grid, GridCongruence
 from slimlat.lattice import BorderedDiagram
 from slimlat.perm import Permutation, SegmentPartition
@@ -120,8 +120,19 @@ def test_validation_stays_in_the_constructors():
         SegmentPartition(((2,), (1,)))
     with pytest.raises(ValueError):
         Grid(-1)
+    for make in (lambda: GridCongruence.from_labels(-2, [0]), lambda: GridCongruence.identity(-3),
+                 lambda: GridCongruence.from_labels(-1, [])):
+        with pytest.raises(ValueError, match="side must be nonnegative"):
+            make()
     with pytest.raises(ValueError):
         BorderedDiagram(_DIAGRAM.lattice, (0, 2), _DIAGRAM.right_chain)
+
+
+def test_one_size_cap_error():
+    # so that one except clause catches every refusal, from rho_class to diagrams_of
+    assert lattice.TooLarge is perm.TooLarge
+    with pytest.raises(lattice.TooLarge):
+        perm.rho_class(Permutation(tuple(3 * k + v for k in range(13) for v in (2, 3, 1))))
 
 
 def test_grid_cell_is_a_named_pair():

@@ -267,6 +267,8 @@ class TestCounting:
             perm.count_classes(perm.COUNT_CAP + 1)
 
     def test_enumerate_reps(self):
+        with pytest.raises(perm.OutOfRange):
+            perm.enumerate_reps(-1)
         for n in range(0, 6):
             reps = perm.enumerate_reps(n)
             assert len(reps) == perm.count_classes(n)
