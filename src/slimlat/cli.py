@@ -16,14 +16,7 @@ import re
 import sys
 
 from slimlat import perm
-from slimlat.perm import Permutation
-
-# the largest permutation size build, render-grid and group-realize accept;
-# on a 2-vCPU VM, slimlat build at n = 128 takes 0.07 s with a 22 MB peak for
-# a random permutation and 0.09 s with a 28 MB peak for the reversal (8,257
-# elements, the most at n = 128), and extract of the reversal's diagram
-# 0.11 s with a 36 MB peak, each command in a child process
-SIZE_CAP = 128
+from slimlat.perm import SIZE_CAP, Permutation
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -42,7 +35,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             raise ValueError(f"malformed cycle notation: {text!r}")
         cycles = []
         for body in _CYCLE_RE.findall(text):
-            elems = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+            elems = _integers(body)
             if elems:
                 cycles.append(elems)
         flat = [x for c in cycles for x in c]
@@ -57,11 +50,17 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
         return perm.validate(images)
-    images = [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
+    images = _integers(text)
     if n is not None and n != len(images):
         raise ValueError(f"--n {n} does not match a permutation of size {len(images)}")
     _check_size(len(images))
     return perm.validate(images)
+
+
+def _integers(text: str) -> list[int]:
+    """The integers of a list separated by commas and whitespace; int raises
+    ValueError on any other token."""
+    return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
 
 
 def _check_size(size: int) -> None:
@@ -133,8 +132,7 @@ def cmd_count(args) -> int:
 def cmd_group_realize(args) -> int:
     from slimlat import extract, groups, lattice
     pi = parse_permutation(args.perm, args.n)
-    primes = (tuple(int(tok) for tok in re.split(r"[,\s]+", args.primes.strip()) if tok)
-              if args.primes else groups.first_primes(pi.n))
+    primes = tuple(_integers(args.primes)) if args.primes else groups.first_primes(pi.n)
     inst = groups.csl_build(primes, pi)
     diagram = groups.csl_dual_diagram(inst)
     extracted = extract.extract_permutation(diagram, verify=True)

@@ -37,10 +37,10 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _cached,
+from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge,
                              _join_irreducible_colouring, covering_squares,
                              is_semimodular, is_slim, join_irreducibles, narrows)
-from slimlat.perm import Permutation, _Frozen, is_involution_on
+from slimlat.perm import RHO_CLASS_CAP, Permutation, _Frozen, is_involution_on
 
 Chain = tuple[int, ...]
 
@@ -50,7 +50,9 @@ Chain = tuple[int, ...]
 # diagram_count returns in 2 ms.  perfbench's traced replay asks for at most 64
 # (its block sums have at most six components; 32 on seeds 1, 1201 and 1202).
 # Building 2^12 = 4,096 takes 0.1 s, and refusing 2^13 under 1 ms (2-vCPU VM).
-DIAGRAMS_OF_CAP = 4096
+# The diagrams of a slim semimodular lattice are as many as the members of its
+# permutation's class, so the cap is rho_class's.
+DIAGRAMS_OF_CAP = RHO_CLASS_CAP
 
 
 class NotSlimSemimodular(ValueError):
@@ -94,23 +96,19 @@ def _require_semimodular(lattice: FiniteLattice) -> None:
 
 def _opposite_edges(lattice: FiniteLattice) -> dict[int, tuple[int, ...]]:
     """Opposite edges of covering squares, by the edge id x * size + y of (x, y)."""
-    def compute():
-        size = lattice.size
-        adj: dict[int, tuple[int, ...]] = {}
-        get = adj.get
-        # tuples, not lists: lists held in the cache raised the peak RSS of
-        # long runs that build many diagrams
-        for w, a, b, t in covering_squares(lattice):
-            e, f, g, h = w * size + a, b * size + t, w * size + b, a * size + t
-            adj[e] = get(e, ()) + (f,)
-            adj[f] = get(f, ()) + (e,)
-            adj[g] = get(g, ()) + (h,)
-            adj[h] = get(h, ()) + (g,)
-        # planarity of slim lattices: an edge borders at most two squares
-        if max(map(len, adj.values()), default=0) > 2:
-            raise NotSlimSemimodular("edge in more than two covering squares")
-        return adj
-    return _cached(lattice, "opposite_edges", compute)
+    size = lattice.size
+    adj: dict[int, tuple[int, ...]] = {}
+    get = adj.get
+    for w, a, b, t in covering_squares(lattice):
+        e, f, g, h = w * size + a, b * size + t, w * size + b, a * size + t
+        adj[e] = get(e, ()) + (f,)
+        adj[f] = get(f, ()) + (e,)
+        adj[g] = get(g, ()) + (h,)
+        adj[h] = get(h, ()) + (g,)
+    # planarity of slim lattices: an edge borders at most two squares
+    if max(map(len, adj.values()), default=0) > 2:
+        raise NotSlimSemimodular("edge in more than two covering squares")
+    return adj
 
 
 def _walk(adj: dict[int, tuple[int, ...]], start: int, size: int) -> Iterator[int]:
@@ -133,8 +131,11 @@ def _walk(adj: dict[int, tuple[int, ...]], start: int, size: int) -> Iterator[in
 
 
 def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
-    """The walk starting at the i-th left-chain edge (1-based)."""
+    """The walk starting at the i-th left-chain edge (1-based); raises
+    IndexError unless 1 <= i <= n."""
     lattice, left = diagram.lattice, diagram.left_chain
+    if not 1 <= i <= diagram.n:
+        raise IndexError(f"left edge {i} outside 1..{diagram.n}")
     _require_semimodular(lattice)
     size = lattice.size
     path = _walk(_opposite_edges(lattice), left[i - 1] * size + left[i], size)

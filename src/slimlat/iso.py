@@ -12,8 +12,14 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from slimlat.lattice import BorderedDiagram, FiniteLattice, TooLarge, _cached
+from slimlat.lattice import BorderedDiagram, FiniteLattice, TooLarge
 
+# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it
+# takes 0.3 s for the 8! of M_8 (10 elements) and would not return on the 12!
+# of M_12; the cap refuses both within 30-40 ms, M_12 after 7,047 nodes.  A phi0
+# lattice with k glued-sum components has at most 2^k, and perfbench's traced
+# replay asks for at most 64.
+AUTOMORPHISMS_CAP = 4096
 # The most nodes, the root and one per individualization, that one search
 # visits before it raises TooLarge: the least power of two that lists the
 # 4,096 automorphisms of the glued sum of 12 squares (8,191 nodes).  Against
@@ -23,13 +29,7 @@ from slimlat.lattice import BorderedDiagram, FiniteLattice, TooLarge, _cached
 # 8-20 ms.  A node costs at most one refinement, 25-45 ms at the 8,257
 # elements lattice_from_json admits, so a search there refuses within about
 # 6 minutes; M_8255 refuses in 0.3-0.5 s.
-ISOMORPHISM_NODE_CAP = 8192
-# The most automorphisms automorphisms lists.  Uncapped, on a 2-vCPU VM, it
-# takes 0.3 s for the 8! of M_8 (10 elements) and would not return on the 12!
-# of M_12; the cap refuses both within 30-40 ms, M_12 after 7,047 nodes.  A phi0
-# lattice with k glued-sum components has at most 2^k, and perfbench's traced
-# replay asks for at most 64.
-AUTOMORPHISMS_CAP = 4096
+ISOMORPHISM_NODE_CAP = 2 * AUTOMORPHISMS_CAP
 
 
 def interval_sublattice(lattice: FiniteLattice, lo: int, hi: int
@@ -207,16 +207,14 @@ def is_isomorphic(l1: FiniteLattice, l2: FiniteLattice) -> bool:
 
 
 def automorphisms(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
-    """All order automorphisms (cached on the lattice).  Raises TooLarge as
-    soon as the search finds more than AUTOMORPHISMS_CAP automorphisms or
-    passes ISOMORPHISM_NODE_CAP nodes."""
-    def compute():
-        search = _search_isomorphisms(lattice, lattice)
-        autos = tuple(itertools.islice(search, AUTOMORPHISMS_CAP + 1))
-        if len(autos) > AUTOMORPHISMS_CAP:
-            raise TooLarge(f"more than {AUTOMORPHISMS_CAP} automorphisms")
-        return autos
-    return _cached(lattice, "automorphisms", compute)
+    """All order automorphisms.  Raises TooLarge as soon as the search finds
+    more than AUTOMORPHISMS_CAP automorphisms or passes ISOMORPHISM_NODE_CAP
+    nodes."""
+    search = _search_isomorphisms(lattice, lattice)
+    autos = tuple(itertools.islice(search, AUTOMORPHISMS_CAP + 1))
+    if len(autos) > AUTOMORPHISMS_CAP:
+        raise TooLarge(f"more than {AUTOMORPHISMS_CAP} automorphisms")
+    return autos
 
 
 def boundarily_similar(d1: BorderedDiagram, d2: BorderedDiagram) -> bool:

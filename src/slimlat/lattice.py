@@ -28,19 +28,19 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
-from slimlat.perm import TooLarge, _Frozen
+from slimlat.perm import SIZE_CAP, TooLarge, _Frozen
 
 # The largest lattice size lattice_from_json accepts.  Validation costs
 # O(size^2) bits of masks, so the size is checked before anything is
 # allocated: a 69-byte file claiming 20,000 elements and no covers used to
 # reach 125 MB of peak RSS before it was refused.  The cap admits every build
-# output: the largest at the permutation size cap 128 is the reversal's,
-# 128 * 129 / 2 + 1 = 8,257 elements, and extract on it takes 0.11 s and
-# 36 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more: the
-# bound check makes k(k - 1)/2 tests for an element with k upper covers, so
-# export-dot of M_8255 at the cap takes 8.3 s.  extract refuses M_8255's
+# output: the largest at the permutation size cap is the reversal's, with
+# n(n + 1)/2 + 1 elements, 8,257 at n = 128, and extract on it takes 0.11 s
+# and 36 MB of peak RSS on a 2-vCPU VM.  Lattices far from slim cost more:
+# the bound check makes k(k - 1)/2 tests for an element with k upper covers,
+# so export-dot of M_8255 at the cap takes 8.3 s.  extract refuses M_8255's
 # diagram in 0.1 s, as diagram_from_json checks the chains first.
-JSON_SIZE_CAP = 8257
+JSON_SIZE_CAP = SIZE_CAP * (SIZE_CAP + 1) // 2 + 1
 
 
 class Cyclic(ValueError):
@@ -255,18 +255,29 @@ class FiniteLattice:
             self._fill_cones()
         return self._down
 
+    def _check_ids(self, *ids: int) -> None:
+        """Raises IndexError unless every id is an element, so that a public
+        query never reads a negative id from the end; internal readers index
+        directly."""
+        for x in ids:
+            if not 0 <= x < self.size:
+                raise IndexError(f"element {x} outside 0..{self.size - 1}")
+
     def leq(self, x: int, y: int) -> bool:
+        self._check_ids(x, y)
         return bool(self.down[y] >> x & 1)
 
     def comparable(self, x: int, y: int) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
     def join(self, x: int, y: int) -> int:
+        self._check_ids(x, y)
         up = self.up
         common = up[x] & up[y]
         return y if common == up[y] else _walk(x, common, self.covers_up, up)
 
     def meet(self, x: int, y: int) -> int:
+        self._check_ids(x, y)
         down = self.down
         common = down[x] & down[y]
         return y if common == down[y] else _walk(x, common, self.covers_down, down)
@@ -277,9 +288,11 @@ class FiniteLattice:
         return frozenset(self._pairs())
 
     def is_cover(self, x: int, y: int) -> bool:
+        self._check_ids(x, y)
         return y in self.covers_up[x]
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
+        self._check_ids(x)
         return self.covers_up[x]
 
     @property
@@ -291,6 +304,7 @@ class FiniteLattice:
 
     def interval(self, lo: int, hi: int) -> list[int]:
         """Elements of [lo, hi], ascending by (height, id)."""
+        self._check_ids(lo, hi)
         mask = self.up[lo] & self.down[hi]
         out = []
         while mask:
@@ -356,6 +370,8 @@ def chain(n: int) -> FiniteLattice:
 
 
 def _cached(lattice: FiniteLattice, key: str, compute):
+    # only for results that production reads again on the same lattice: a
+    # result computed once per lattice is not worth the memory it would hold
     cache = lattice._cache
     if key not in cache:
         cache[key] = compute()
@@ -383,8 +399,7 @@ def join_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
 
 def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one upper cover (the top has none)."""
-    return _cached(lattice, "mi", lambda: tuple(
-        x for x, above in enumerate(lattice.covers_up) if len(above) == 1))
+    return tuple(x for x, above in enumerate(lattice.covers_up) if len(above) == 1)
 
 
 def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
@@ -448,8 +463,7 @@ def is_dually_slim(lattice: FiniteLattice) -> bool:
     """True iff the dual is slim: the meet-irreducibles contain no
     three-element antichain.  Decided on the lattice itself, by one
     2-colouring of their incomparability graph."""
-    return _cached(lattice, "dually_slim",
-                   lambda: _two_colouring(lattice, meet_irreducibles(lattice)) is not None)
+    return _two_colouring(lattice, meet_irreducibles(lattice)) is not None
 
 
 def narrows(lattice: FiniteLattice) -> tuple[int, ...]:

@@ -16,6 +16,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
+# the largest permutation size build, render-grid and group-realize accept;
+# on a 2-vCPU VM, slimlat build at n = 128 takes 0.07 s with a 22 MB peak for
+# a random permutation and 0.09 s with a 28 MB peak for the reversal (8,257
+# elements, the most at n = 128), and extract of the reversal's diagram
+# 0.11 s with a 36 MB peak, each command in a child process
+SIZE_CAP = 128
 # enumerate_reps filters all of S_n: about 2 s at n = 9 on a 2-vCPU VM
 ENUMERATION_CAP = 9
 # rho_class builds every member: 2^12 = 4,096 (12 summed copies of (2,3,1), n = 36)

@@ -62,6 +62,12 @@ class TestPi1:
                 assert any({(w, a), (b, t)} == {e, f} or {(w, b), (a, t)} == {e, f}
                            for w, a, b, t in squares)
 
+    def test_trajectory_refuses_edges_off_the_left_chain(self):
+        d = grid.phi0(Permutation((2, 3, 1)))
+        for i in (0, -1, 4):
+            with pytest.raises(IndexError, match=f"left edge {i} outside 1..3"):
+                extract.trajectory(d, i)
+
     def test_requires_slim_semimodular(self):
         d = BorderedDiagram(N5, (0, 1, 2, 4), (0, 3, 4))
         with pytest.raises(extract.NotSlimSemimodular):

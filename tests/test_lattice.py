@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from slimlat import grid, groups, iso, lattice
+from slimlat import extract, grid, groups, iso, lattice
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import Permutation
 
@@ -107,6 +107,18 @@ class TestFromCovers:
         assert pairs > 7000  # 7,189
         with pytest.raises(AssertionError, match="walked"):
             B2.join(1, 2)
+
+    @pytest.mark.parametrize("query, arity", [
+        (FiniteLattice.leq, 2), (FiniteLattice.comparable, 2), (FiniteLattice.join, 2),
+        (FiniteLattice.meet, 2), (FiniteLattice.is_cover, 2), (FiniteLattice.upper_covers, 1),
+        (FiniteLattice.interval, 2)])
+    def test_queries_refuse_ids_that_are_not_elements(self, query, arity):
+        for bad in (-1, -B2.size, B2.size):
+            for k in range(arity):
+                ids = [1] * arity
+                ids[k] = bad
+                with pytest.raises(IndexError, match=f"element {bad} outside 0..3"):
+                    query(B2, *ids)
 
     def test_transitive_edge_rejected(self):
         with pytest.raises(lattice.NotReduced):
@@ -307,6 +319,17 @@ class TestConesOnDemand:
             grid.heuristic_layout(pi, d.lattice)
             lattice.to_dot(d.lattice)
             assert built(d.lattice) == [False] * 3, images
+
+    def test_memo_holds_only_results_read_again(self):
+        d = grid.phi0(Permutation((3, 1, 4, 2, 6, 5)))
+        extract.extract_permutation(d, verify=True)
+        extract.trajectory(d, 1)
+        assert extract.diagram_count(d.lattice) == 2
+        lattice.is_dually_slim(d.lattice)
+        lattice.meet_irreducibles(d.lattice)
+        lattice.automorphisms(d.lattice)
+        assert set(d.lattice._cache) == {"semimodular", "squares", "ji", "ji_colouring",
+                                         "narrows"}
 
 
 class TestPredicates:
@@ -646,7 +669,6 @@ class TestJointRefinement:
 
         def answers():
             out = [lattice.find_isomorphism(l1, l2) for l1, l2, _, _ in corpus]
-            # a copy each time, as automorphisms are cached on the lattice
             out += [lattice.automorphisms(FiniteLattice(lat.size, lat.covers))
                     for lat in distinct]
             out += [lattice.boundarily_similar(d1, d2) for _, _, d1, d2 in corpus
@@ -742,7 +764,7 @@ class TestSingletonShortcut:
     def test_automorphisms_match_backtracking(self):
         corpus = list(refinement_corpus())
         for lat in {id(lat): lat for l1, l2, _, _ in corpus for lat in (l1, l2)}.values():
-            copy = FiniteLattice(lat.size, lat.covers)  # automorphisms are cached
+            copy = FiniteLattice(lat.size, lat.covers)
             assert lattice.automorphisms(copy) == tuple(
                 oracles.isomorphisms_by_backtracking(lat, lat, limit=None))
 
