@@ -37,9 +37,8 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge,
-                             _join_irreducible_colouring, covering_squares,
-                             is_semimodular, is_slim, join_irreducibles, narrows)
+from slimlat.lattice import (BorderedDiagram, FiniteLattice, TooLarge, _two_colouring,
+                             is_semimodular, join_irreducibles, narrows)
 from slimlat.perm import RHO_CLASS_CAP, Permutation, _Frozen, is_involution_on
 
 Chain = tuple[int, ...]
@@ -88,6 +87,7 @@ class Trajectory(_Frozen):
 
 
 def _require_semimodular(lattice: FiniteLattice) -> None:
+    # each public entry point tests once, then calls unchecked internals;
     # enough for a diagram: BorderedDiagram puts every join-irreducible on
     # one of two chains, so its lattice is slim
     if not is_semimodular(lattice):
@@ -95,16 +95,24 @@ def _require_semimodular(lattice: FiniteLattice) -> None:
 
 
 def _opposite_edges(lattice: FiniteLattice) -> dict[int, tuple[int, ...]]:
-    """Opposite edges of covering squares, by the edge id x * size + y of (x, y)."""
+    """Opposite edges of covering squares, by the edge id x * size + y of
+    (x, y), in one pass over the pairs of upper covers (see covering_squares)."""
     size = lattice.size
+    covers_up = lattice.covers_up
     adj: dict[int, tuple[int, ...]] = {}
     get = adj.get
-    for w, a, b, t in covering_squares(lattice):
-        e, f, g, h = w * size + a, b * size + t, w * size + b, a * size + t
-        adj[e] = get(e, ()) + (f,)
-        adj[f] = get(f, ()) + (e,)
-        adj[g] = get(g, ()) + (h,)
-        adj[h] = get(h, ()) + (g,)
+    for w, ups in enumerate(covers_up):
+        if len(ups) > 1:
+            for a, b in itertools.combinations(ups, 2):
+                above_b = covers_up[b]
+                for t in covers_up[a]:
+                    if t in above_b:
+                        e, f, g, h = w * size + a, b * size + t, w * size + b, a * size + t
+                        adj[e] = get(e, ()) + (f,)
+                        adj[f] = get(f, ()) + (e,)
+                        adj[g] = get(g, ()) + (h,)
+                        adj[h] = get(h, ()) + (g,)
+                        break
     # planarity of slim lattices: an edge borders at most two squares
     if max(map(len, adj.values()), default=0) > 2:
         raise NotSlimSemimodular("edge in more than two covering squares")
@@ -143,12 +151,11 @@ def trajectory(diagram: BorderedDiagram, i: int) -> Trajectory:
 
 
 def _trajectory_images(diagram: BorderedDiagram) -> tuple[int, ...]:
-    """Extraction by trajectories, as unvalidated images.  Tests
-    semimodularity only: the lattice of a bordered diagram is slim by
-    construction.  Each walk counts the left and right edges it meets, its
-    start included, and a failing one is walked again to name them."""
+    """Extraction by trajectories, as unvalidated images, on a lattice its
+    caller has found semimodular.  Each walk counts the left and right edges
+    it meets, its start included, and a failing one is walked again to name
+    them."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
-    _require_semimodular(lattice)
     adj = _opposite_edges(lattice)
     size = lattice.size
     left_index = {left[k - 1] * size + left[k]: k for k in range(1, len(left))}
@@ -210,12 +217,10 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
 
 def _source_cell_images(diagram: BorderedDiagram) -> tuple[int, ...]:
     """Extraction through the join map from the grid onto the lattice, as
-    unvalidated images.  Tests semimodularity only: the lattice of a
-    bordered diagram is slim by construction.  The up-set of x ∨ y is
-    up[x] & up[y], so equal masks mean equal joins, and the masks stand for
-    the joins in the comparisons."""
+    unvalidated images, on a lattice its caller has found semimodular.  The
+    up-set of x ∨ y is up[x] & up[y], so equal masks mean equal joins, and
+    the masks stand for the joins in the comparisons."""
     lattice, left, right = diagram.lattice, diagram.left_chain, diagram.right_chain
-    _require_semimodular(lattice)
     n = diagram.n
     up = lattice.up
     right_up = [up[d] for d in right]
@@ -238,11 +243,13 @@ def _source_cell_images(diagram: BorderedDiagram) -> tuple[int, ...]:
 
 def pi1_trajectories(diagram: BorderedDiagram) -> Permutation:
     """Extraction by trajectories (see _trajectory_images)."""
+    _require_semimodular(diagram.lattice)
     return Permutation(_trajectory_images(diagram))
 
 
 def pi3_source_cells(diagram: BorderedDiagram) -> Permutation:
     """Extraction through the join map (see _source_cell_images)."""
+    _require_semimodular(diagram.lattice)
     return Permutation(_source_cell_images(diagram))
 
 
@@ -251,7 +258,7 @@ def extract_permutation(diagram: BorderedDiagram, verify: bool = True) -> Permut
 
     Runs the meet-irreducible procedure; with verify (the default) the other
     two run as well and any disagreement raises, which must never happen on
-    valid input.
+    valid input.  pi2's semimodularity test serves all three.
     """
     result = pi2_meet_irreducibles(diagram)
     if verify:
@@ -271,55 +278,57 @@ def extract_permutation(diagram: BorderedDiagram, verify: bool = True) -> Permut
 
 # -- enumerating diagrams ---------------------------------------------------------
 
-def _component_chain_pair(lattice: FiniteLattice, lo: int, hi: int
-                          ) -> tuple[Chain, Chain]:
-    """The two boundary chains of the glued-sum component between the
-    consecutive narrows lo and hi, lexicographically smaller first (equal
-    when hi covers lo).
+def _component_chain_pairs(lattice: FiniteLattice) -> list[tuple[Chain, Chain]]:
+    """The two boundary chains from lo to hi of the glued-sum component
+    between each two consecutive narrows lo and hi, in their order,
+    lexicographically smaller first (equal when hi covers lo).  Raises
+    NotSlimSemimodular unless the lattice is slim.
 
     The join-irreducibles in (lo, hi] split into two chains, one per colour
     class of their incomparability graph; the class of the atom with the
-    smaller id gives the smaller chain.  The classes come from the lattice's
-    one cached 2-colouring of all its join-irreducibles (see is_slim): a
-    narrow lies between two join-irreducibles of different components, so
-    they are comparable, and the colouring restricted to a component is its
-    own, unique up to swapping the colours when the component's graph is
-    connected.  A member joins the chain of the component's first member iff
-    their colours are equal.  The walk from lo through one class to hi is
-    forced: two upper covers of the current element below the next target
-    would both be its join with a member of the other chain, hence
-    comparable, hence equal.
+    smaller id gives the smaller chain.  The classes come from one
+    2-colouring of all the join-irreducibles: a narrow lies between two
+    join-irreducibles of different components, so they are comparable, and
+    the colouring restricted to a component is its own, unique up to
+    swapping the colours when the component's graph is connected.  A member
+    joins the chain of the component's first member iff their colours are
+    equal.  The walk from lo through one class to hi is forced: two upper
+    covers of the current element below the next target would both be its
+    join with a member of the other chain, hence comparable, hence equal.
     """
-    colour = _join_irreducible_colouring(lattice)
+    ji = join_irreducibles(lattice)
+    colour = _two_colouring(lattice, ji)
     if colour is None:
-        raise NotSlimSemimodular(
-            f"join-irreducibles of [{lo}, {hi}] are not two chains")
-    # lo is a narrow, so no lower cover of an element above lo lies outside
-    # [lo, hi]: these are the interval's join-irreducibles, by (height, id)
-    inside = (lattice.up[lo] ^ 1 << lo) & lattice.down[hi]
-    ji = [x for x in join_irreducibles(lattice) if inside >> x & 1]
-    ji.sort(key=lattice.height.__getitem__)
-    first = colour[ji[0]]
-    if any(colour[x] >> 1 != first >> 1 for x in ji):
-        raise RuntimeError(
-            f"component [{lo}, {hi}] has more than one boundary chain pair")
+        raise NotSlimSemimodular("lattice is not slim")
+    nar = narrows(lattice)
+    covers_up, up, down, height = lattice.covers_up, lattice.up, lattice.down, lattice.height
+    pairs = []
+    for lo, hi in zip(nar, nar[1:]):
+        # lo is a narrow, so no lower cover of an element above lo is outside
+        # [lo, hi]: these are the interval's join-irreducibles, by (height, id)
+        inside = (up[lo] ^ 1 << lo) & down[hi]
+        members = [x for x in ji if inside >> x & 1]
+        members.sort(key=height.__getitem__)
+        first = colour[members[0]]
+        if any(colour[x] >> 1 != first >> 1 for x in members):
+            raise RuntimeError(
+                f"component [{lo}, {hi}] has more than one boundary chain pair")
 
-    covers_up, down = lattice.covers_up, lattice.down
+        def walk(targets: list[int]) -> Chain:
+            out = [lo]
+            for t in targets + [hi]:
+                below_t = down[t]
+                while out[-1] != t:
+                    steps = [y for y in covers_up[out[-1]] if below_t >> y & 1]
+                    if len(steps) != 1:
+                        raise NotSlimSemimodular(
+                            f"boundary walk in [{lo}, {hi}] forks at {out[-1]}")
+                    out.append(steps[0])
+            return tuple(out)
 
-    def walk(targets: list[int]) -> Chain:
-        out = [lo]
-        for t in targets + [hi]:
-            below_t = down[t]
-            while out[-1] != t:
-                steps = [y for y in covers_up[out[-1]] if below_t >> y & 1]
-                if len(steps) != 1:
-                    raise NotSlimSemimodular(
-                        f"boundary walk in [{lo}, {hi}] forks at {out[-1]}")
-                out.append(steps[0])
-        return tuple(out)
-
-    return (walk([x for x in ji if colour[x] == first]),
-            walk([x for x in ji if colour[x] != first]))
+        pairs.append((walk([x for x in members if colour[x] == first]),
+                      walk([x for x in members if colour[x] != first])))
+    return pairs
 
 
 def _assemble(lattice: FiniteLattice, pairs) -> BorderedDiagram:
@@ -346,17 +355,14 @@ def _orientation_options(lattice: FiniteLattice) -> list[tuple[tuple[Chain, Chai
     automorphism swaps the chains iff that segment is an involution.  One
     extraction of the diagram assembled from the lexicographically smaller
     orientations gives every segment: the component between the narrows lo
-    and hi owns the positions height(lo) + 1 .. height(hi).
+    and hi owns the positions height(lo) + 1 .. height(hi).  The extraction
+    tests semimodularity, after _component_chain_pairs has tested slimness.
     """
-    if not is_slim(lattice):
-        raise NotSlimSemimodular("lattice is not slim")
-    _require_semimodular(lattice)
-    nar = narrows(lattice)
-    pairs = [_component_chain_pair(lattice, lo, hi) for lo, hi in zip(nar, nar[1:])]
+    pairs = _component_chain_pairs(lattice)
     pi = pi2_meet_irreducibles(_assemble(lattice, pairs))
     height = lattice.height
-    return [((u, v),) if is_involution_on(pi, height[lo] + 1, height[hi]) else ((u, v), (v, u))
-            for (u, v), lo, hi in zip(pairs, nar, nar[1:])]
+    return [((u, v),) if is_involution_on(pi, height[u[0]] + 1, height[u[-1]])
+            else ((u, v), (v, u)) for u, v in pairs]
 
 
 def diagrams_of(lattice: FiniteLattice) -> tuple[BorderedDiagram, ...]:

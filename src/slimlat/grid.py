@@ -57,6 +57,8 @@ class Grid(_Frozen):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise ValueError(f"side {n!r} is not an integer")
         if n < 0:
             raise ValueError("side must be nonnegative")
         object.__setattr__(self, "n", n)
@@ -76,12 +78,18 @@ class Grid(_Frozen):
         return i * self.side + j
 
     def coords(self, e: int) -> Coord:
+        if not 0 <= e < self.size:
+            raise IndexError(f"element {e} outside the grid of side {self.n}")
         return divmod(e, self.side)
 
     def join(self, x: Coord, y: Coord) -> Coord:
+        for coord in (x, y):  # raises IndexError outside the grid
+            self.index(coord)
         return (max(x[0], y[0]), max(x[1], y[1]))
 
     def meet(self, x: Coord, y: Coord) -> Coord:
+        for coord in (x, y):
+            self.index(coord)
         return (min(x[0], y[0]), min(x[1], y[1]))
 
     def elements(self) -> Iterator[Coord]:

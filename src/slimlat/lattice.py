@@ -80,10 +80,14 @@ class FiniteLattice:
     upper covers of an element checks that every pair has a join and a meet (see
     _check_bounds).  _from_covers_up builds the lattices known to be
     lattices by construction without that check.
+
+    A lattice keeps no computed results, so the work a call does never
+    depends on the calls made before it: each entry point of extract
+    computes the predicates it needs once and passes them down.
     """
 
     __slots__ = ("size", "covers_up", "covers_down", "_up", "_down",
-                 "height", "bottom", "top", "_order", "_cache")
+                 "height", "bottom", "top", "_order")
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]]):
         self._fill_bounded_order(size, covers)
@@ -115,12 +119,17 @@ class FiniteLattice:
         checks but the joins and meets: the covers name elements, are
         acyclic and are the transitive reduction of an order with a least
         and a greatest element.  diagram_from_json checks a diagram's chains
-        between this and _check_bounds, which may cost far more."""
+        between this and _check_bounds, which may cost far more.  A size or
+        cover entry that is not an int, a bool included, is a ValueError."""
+        if type(size) is not int:
+            raise ValueError(f"size {size!r} is not an integer")
         if size < 1:
             raise NotALattice("a lattice needs at least one element")
         cover_set = set()
         for pair in covers:
             a, b = pair
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"cover {pair!r:.80} is not a pair of integers")
             if not (0 <= a < size and 0 <= b < size):
                 raise CoverOutOfRange(f"cover {pair} outside 0..{size - 1}")
             if a == b:
@@ -172,7 +181,6 @@ class FiniteLattice:
         self.bottom = order[0]
         self.top = order[-1]
         self._order = tuple(order)
-        self._cache: dict = {}
 
     def _fill_cones(self) -> None:
         """Sets the two cones together: the up-set and down-set masks, one
@@ -369,32 +377,28 @@ def chain(n: int) -> FiniteLattice:
     return FiniteLattice._from_covers_up([(i + 1,) for i in range(n)] + [()], range(n + 1))
 
 
-def _cached(lattice: FiniteLattice, key: str, compute):
-    # only for results that production reads again on the same lattice: a
-    # result computed once per lattice is not worth the memory it would hold
-    cache = lattice._cache
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
-
-
 def is_semimodular(lattice: FiniteLattice) -> bool:
     """Upper semimodularity (a covered by b implies a∨c is b∨c or covered by
-    it), decided by Birkhoff's condition: any two distinct upper covers of
-    an element are both covered by their join.  In a lattice of finite
-    length the two are equivalent.  The condition holds exactly when every
-    such pair spans one of the covering squares, so this counts them.
-    Cost: that of covering_squares."""
-    def compute():
-        pairs = sum(k * (k - 1) for k in map(len, lattice.covers_up)) // 2
-        return len(covering_squares(lattice)) == pairs
-    return _cached(lattice, "semimodular", compute)
+    it), decided by Birkhoff's condition, its equivalent in a lattice of
+    finite length: any two distinct upper covers of an element have a common
+    upper cover, their join.  Stops at the first pair without one.  Cost:
+    O(sum of squared up-degrees) scans of two cover lists."""
+    covers_up = lattice.covers_up
+    for ups in covers_up:
+        if len(ups) > 1:
+            for a, b in itertools.combinations(ups, 2):
+                above_b = covers_up[b]
+                for t in covers_up[a]:
+                    if t in above_b:
+                        break
+                else:
+                    return False
+    return True
 
 
 def join_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover (the bottom has none)."""
-    return _cached(lattice, "ji", lambda: tuple(
-        x for x, below in enumerate(lattice.covers_down) if len(below) == 1))
+    return tuple(x for x, below in enumerate(lattice.covers_down) if len(below) == 1)
 
 
 def meet_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
@@ -445,18 +449,11 @@ def _two_colouring(lattice: FiniteLattice, elems: Sequence[int]
     return colour
 
 
-def _join_irreducible_colouring(lattice: FiniteLattice) -> dict[int, int] | None:
-    """_two_colouring of the join-irreducibles in ascending order (cached)."""
-    return _cached(lattice, "ji_colouring",
-                   lambda: _two_colouring(lattice, join_irreducibles(lattice)))
-
-
 def is_slim(lattice: FiniteLattice) -> bool:
     """True iff the join-irreducibles contain no three-element antichain
     (equivalently, they are a union of two chains), by one 2-colouring of
-    their incomparability graph.  The colouring is cached on the lattice,
-    and extract reads each glued-sum component's boundary chains off it."""
-    return _join_irreducible_colouring(lattice) is not None
+    their incomparability graph."""
+    return _two_colouring(lattice, join_irreducibles(lattice)) is not None
 
 
 def is_dually_slim(lattice: FiniteLattice) -> bool:
@@ -472,13 +469,11 @@ def narrows(lattice: FiniteLattice) -> tuple[int, ...]:
     Always contains the bottom and the top; the set is a chain, and the
     intervals between consecutive narrows are the glued-sum components.
     """
-    def compute():
-        size = lattice.size
-        full = (1 << size) - 1
-        out = [x for x, u, d in zip(range(size), lattice.up, lattice.down) if u | d == full]
-        out.sort(key=lambda x: lattice.height[x])
-        return tuple(out)
-    return _cached(lattice, "narrows", compute)
+    size = lattice.size
+    full = (1 << size) - 1
+    out = [x for x, u, d in zip(range(size), lattice.up, lattice.down) if u | d == full]
+    out.sort(key=lattice.height.__getitem__)
+    return tuple(out)
 
 
 def dual(lattice: FiniteLattice) -> FiniteLattice:
@@ -496,9 +491,9 @@ def covering_squares(lattice: FiniteLattice) -> frozenset[tuple[int, int, int, i
     up-degrees) scans of two cover lists.
     """
     covers_up = lattice.covers_up
-    return _cached(lattice, "squares", lambda: frozenset(
+    return frozenset(
         (w, a, b, t) for w, ups in enumerate(covers_up) if len(ups) > 1
-        for a, b in itertools.combinations(ups, 2) for t in covers_up[a] if t in covers_up[b]))
+        for a, b in itertools.combinations(ups, 2) for t in covers_up[a] if t in covers_up[b])
 
 
 # -- bordered diagrams --------------------------------------------------------

@@ -340,15 +340,20 @@ def class_size(sigma: Permutation) -> int:
 
 
 def is_involution_on(sigma: Permutation, lo: int, hi: int) -> bool:
-    """True iff sigma, restricted to the closed interval lo..hi (1-based),
-    equals its own inverse there.  O(hi - lo).
+    """True iff sigma maps the interval lo..hi (1-based) onto itself and
+    equals its own inverse there: sigma(sigma(i)) = i for each i in it.
+    Raises IntervalOutOfRange unless 1 <= lo <= hi <= n.  O(hi - lo).
 
     >>> is_involution_on(Permutation((2, 1, 4, 5, 3)), 1, 2)
     True
     >>> is_involution_on(Permutation((2, 1, 4, 5, 3)), 3, 5)
     False
     """
-    return _restriction(sigma.images, lo, hi) == _restriction_inverse(sigma.images, lo, hi)
+    images = sigma.images
+    if not 1 <= lo <= hi <= len(images):
+        raise IntervalOutOfRange(f"{lo}..{hi} is not a nonempty interval of 1..{len(images)}")
+    return all(lo <= images[i - 1] <= hi and images[images[i - 1] - 1] == i
+               for i in range(lo, hi + 1))
 
 
 def canonical_rep(sigma: Permutation) -> Permutation:

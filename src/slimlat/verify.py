@@ -183,10 +183,10 @@ def _check_pairwise_iso(scale: int) -> dict:
             "details": f"{total} pairs compared" if bad == 0 else f"{bad} mismatches"}
 
 
-def _reflection_similar(lat, lo: int, hi: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """True iff some automorphism of [lo, hi] swaps the chains u and v, by a
-    pinned isomorphism search on the interval as a lattice of its own."""
-    sub, elems = lattice.interval_sublattice(lat, lo, hi)
+def _reflection_similar(lat, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """True iff some automorphism of [u[0], u[-1]] swaps the chains u and v,
+    by a pinned isomorphism search on the interval as a lattice of its own."""
+    sub, elems = lattice.interval_sublattice(lat, u[0], u[-1])
     index = {x: k for k, x in enumerate(elems)}
     d = lattice.BorderedDiagram(sub, tuple(index[x] for x in u), tuple(index[x] for x in v))
     return lattice.boundarily_similar(d, d.reflected())
@@ -196,11 +196,9 @@ def _searched_diagram_count(lat) -> int:
     """The product over glued-sum components of their orientation counts,
     each decided by isomorphism search instead of by the permutation, so
     that the count does not rest on the theorem it checks."""
-    nar = lattice.narrows(lat)
     count = 1
-    for lo, hi in zip(nar, nar[1:]):
-        u, v = extract._component_chain_pair(lat, lo, hi)
-        if not _reflection_similar(lat, lo, hi, u, v):
+    for u, v in extract._component_chain_pairs(lat):
+        if not _reflection_similar(lat, u, v):
             count *= 2
     return count
 

@@ -20,6 +20,20 @@ class TestGrid:
         assert g.join((1, 2), (2, 0)) == (2, 2)
         assert g.meet((1, 2), (2, 0)) == (1, 0)
 
+    def test_refuses_sides_and_points_outside_the_grid(self):
+        for side in (2.5, True, "3", -1):
+            with pytest.raises(ValueError, match="side"):
+                Grid(side)
+        g = Grid(3)
+        assert g.coords(15) == (3, 3) and g.join((3, 0), (0, 3)) == (3, 3)
+        for e in (16, 99, -1):
+            with pytest.raises(IndexError, match=f"element {e} outside the grid of side 3"):
+                g.coords(e)
+        for x, y in (((9, 0), (0, 0)), ((0, 0), (0, 4)), ((-1, 2), (1, 1))):
+            for op in (g.join, g.meet):
+                with pytest.raises(IndexError, match="outside the grid of side 3"):
+                    op(x, y)
+
     def test_prime_interval_count(self):
         for n in range(0, 5):
             assert len(list(Grid(n).prime_intervals())) == 2 * n * (n + 1)

@@ -135,6 +135,20 @@ class TestFromCovers:
             lattice.from_covers(2, [(0, 5)])
         assert isinstance(info.value, ValueError) and isinstance(info.value, IndexError)
 
+    @pytest.mark.parametrize("size, covers", [
+        (2, [(0, True)]), (2, [(False, 1)]), (2, [(0, 1.5)]), (2, [(0.0, 1)]),
+        (2, [("0", 1)]), (True, []), (2.0, [(0, 1)])])
+    def test_refuses_what_is_not_an_int(self, size, covers):
+        # the refusal is the one lattice_from_json makes of the same object,
+        # so everything from_covers accepts survives the JSON round trip
+        with pytest.raises(ValueError, match="is not (a pair of integers|an integer)$") as info:
+            lattice.from_covers(size, covers)
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match="is not (a list of integers|an integer)$"):
+            lattice.lattice_from_json({"size": size, "covers": [list(c) for c in covers]})
+        two = lattice.from_covers(2, [(0, 1)])
+        assert lattice.lattice_from_json(lattice.lattice_to_json(two)) == two
+
     def test_unbounded_rejected(self):
         with pytest.raises(lattice.NotALattice):
             lattice.from_covers(2, [])  # two incomparable points
@@ -256,9 +270,8 @@ CONES = ("up", "down")
 
 
 def built(lat):
-    """Which of the cones and the cover set a lattice holds, read without
-    building them."""
-    return [getattr(lat, f"_{name}") is not None for name in CONES] + ["covers" in lat._cache]
+    """Which of the cones a lattice holds, read without building them."""
+    return [getattr(lat, f"_{name}") is not None for name in CONES]
 
 
 class TestConesOnDemand:
@@ -299,14 +312,15 @@ class TestConesOnDemand:
 
     def test_read_one_builds_both_cones(self):
         lat = grid.phi0(Permutation((3, 1, 4, 2))).lattice
-        assert built(lat) == [False] * 3 and type(lat) is FiniteLattice
+        assert built(lat) == [False] * 2 and type(lat) is FiniteLattice
         assert lat.is_cover(lat.bottom, lat.covers_up[lat.bottom][0])
         assert not lat.is_cover(lat.bottom, lat.top)
-        assert built(lat) == [False] * 3  # is_cover reads the cover lists only
+        assert built(lat) == [False] * 2  # is_cover reads the cover lists only
         assert lat.leq(lat.bottom, lat.top)
-        assert built(lat) == [True] * 2 + [False]
+        assert built(lat) == [True] * 2
         assert lat.covers == frozenset(oracles.eager_order_data(lat)[-1])
-        assert built(lat) == [True] * 2 + [False]  # no pair set is cached
+        assert built(lat) == [True] * 2
+        assert not hasattr(lat, "__dict__")  # the pair set has nowhere to be kept
         for lat in (grid.phi0(Permutation((2, 1))).lattice, lat):  # coneless, then built
             with pytest.raises(AttributeError, match="no attribute 'nothing'"):
                 lat.nothing
@@ -318,18 +332,7 @@ class TestConesOnDemand:
             lattice.diagram_to_json(d)
             grid.heuristic_layout(pi, d.lattice)
             lattice.to_dot(d.lattice)
-            assert built(d.lattice) == [False] * 3, images
-
-    def test_memo_holds_only_results_read_again(self):
-        d = grid.phi0(Permutation((3, 1, 4, 2, 6, 5)))
-        extract.extract_permutation(d, verify=True)
-        extract.trajectory(d, 1)
-        assert extract.diagram_count(d.lattice) == 2
-        lattice.is_dually_slim(d.lattice)
-        lattice.meet_irreducibles(d.lattice)
-        lattice.automorphisms(d.lattice)
-        assert set(d.lattice._cache) == {"semimodular", "squares", "ji", "ji_colouring",
-                                         "narrows"}
+            assert built(d.lattice) == [False] * 2, images
 
 
 class TestPredicates:

@@ -289,6 +289,31 @@ class TestRestrictionAndCycles:
         with pytest.raises(ValueError):
             Permutation((2, 3, 1)).restrict(1, 2)
 
+    def test_involution_on_checks_its_interval(self):
+        sigma = Permutation((2, 3, 1))
+        for lo, hi in ((0, 1), (-1, 1), (2, 4), (0, 3), (3, 2)):
+            with pytest.raises(perm.IntervalOutOfRange,
+                               match=rf"^{lo}\.\.{hi} is not a nonempty interval of 1\.\.3$"):
+                perm.is_involution_on(sigma, lo, hi)
+        # 1..1 is in range, but sigma does not map it onto itself
+        assert perm.is_involution_on(sigma, 1, 1) is False
+        assert perm.is_involution_on(sigma, 1, 3) is False
+        assert perm.is_involution_on(Permutation((2, 1, 3)), 1, 2) is True
+        assert perm.is_involution_on(Permutation((2, 1, 3)), 3, 3) is True
+
+    def test_involution_on_matches_restriction_test(self):
+        # on every closed interval, the definition: the restriction equals its inverse
+        for n in range(1, 6):
+            for images in itertools.permutations(range(1, n + 1)):
+                sigma = Permutation(images)
+                for lo in range(1, n + 1):
+                    for hi in range(lo, n + 1):
+                        if perm.is_closed(sigma, range(lo, hi + 1)):
+                            want = sigma.restrict(lo, hi) == sigma.restrict(lo, hi).inverse()
+                        else:
+                            want = False
+                        assert perm.is_involution_on(sigma, lo, hi) is want, (images, lo, hi)
+
     def test_cycles(self):
         assert THREE_CYCLES.cycles() == ((1, 2, 3), (5, 6, 7))
         assert Permutation((1, 2)).cycle_string() == "()"
