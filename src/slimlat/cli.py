@@ -83,13 +83,13 @@ def _note(msg: str) -> None:
 def cmd_build(args) -> int:
     from slimlat import grid, lattice
     pi = parse_permutation(args.perm, args.n)
-    diagram = grid.phi0(pi)
+    diagram, _, tops = grid._phi0_parts(pi)
     if args.format == "dot":
         print(lattice.to_dot(diagram.lattice), end="")
         return 0
     obj = lattice.diagram_to_json(diagram)
     obj["perm"] = list(pi.images)
-    layout = grid.heuristic_layout(pi, diagram.lattice)
+    layout = grid._layout(diagram, tops)
     obj["layout"] = [list(layout[x]) for x in range(diagram.lattice.size)]
     _emit(obj)
     _note(f"built a lattice with {diagram.lattice.size} elements, length {diagram.n}")
@@ -138,7 +138,7 @@ def cmd_group_realize(args) -> int:
     extracted = extract.extract_permutation(diagram, verify=True)
     if args.format == "dot":
         labels = {k: str(d) for k, d in enumerate(inst.elements)}
-        print(lattice.to_dot(groups.csl_lattice(inst), labels, name="csl"), end="")
+        print(lattice.to_dot(lattice.dual(diagram.lattice), labels, name="csl"), end="")
         print(lattice.to_dot(diagram.lattice, labels, name="csl_dual"), end="")
         return 0
     _emit({

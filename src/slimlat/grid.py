@@ -13,8 +13,10 @@ quotient is a slim semimodular lattice of length n; ``phi0`` returns that
 quotient together with the images of the two grid boundary chains.  The
 collapsed prime intervals admit a closed form (an edge in the c-direction
 with top (i, j) is collapsed iff pi(i) <= j, and dually), and ``phi0``
-builds its congruence from that predicate.  The closure from generating
-pairs backs ``congruence_closure``, ``jcong_cell``, ``regenerate`` and the
+builds its congruence from that predicate once per call, keeping none:
+``_phi0_parts`` hands the labels and block tops to ``build``'s layout and
+to a ``verify`` bundle's oracle.  The closure from generating pairs backs
+``congruence_closure``, ``jcong_cell``, ``regenerate`` and the
 ``beta_from_perm`` oracle, an independent route to the same congruence: it
 never reads the edge predicate, and finds the closed elements of the
 congruence (those that no generating pair separates) with one bitmask per
@@ -27,7 +29,6 @@ import operator
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice
 from slimlat.perm import LengthMismatch, Permutation, _Frozen
@@ -292,14 +293,6 @@ def jcong_cell(grid: Grid, cell: GridCell) -> GridCongruence:
     return GridCongruence(grid.n, _closure_labels(grid.n, _cell_pairs(grid.n, [(i, j)])))
 
 
-# The memo's only reuse is of the permutation just built: heuristic_layout
-# after phi0 in build, beta_from_formula after phi0 in a verify bundle, and
-# beta_from_perm's own check.  One entry at n = 128 holds 420-640 KB, so a
-# larger memo would only pin memory in a long run.
-_FORMULA_MEMO_SIZE = 4
-
-
-@lru_cache(maxsize=_FORMULA_MEMO_SIZE)
 def _formula_blocks(n: int, images: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     """The canonical labels of pi's congruence by the closed form, and the
     flat index of each block's top."""
@@ -510,40 +503,44 @@ def _lattice_from_tops(n: int, labels: Sequence[int], top_i: Sequence[int],
     return FiniteLattice._from_covers_up(covers_up, sorted(range(len(rank)), key=rank.__getitem__))
 
 
+def _phi0_parts(pi: Permutation) -> tuple[BorderedDiagram, tuple[int, ...], list[int]]:
+    """phi0(pi), and the closed form's labels and block tops it was built from."""
+    n = pi.n
+    side = n + 1
+    labels, tops = _formula_blocks(n, pi.images)
+    lattice = _lattice_from_tops(n, labels, [t // side for t in tops], [t % side for t in tops])
+    return BorderedDiagram._trusted(lattice, labels[::side], labels[:side]), labels, tops
+
+
 def phi0(pi: Permutation) -> BorderedDiagram:
     """The quotient of the square grid by the congruence of pi, bordered by
     the images of the two grid boundary chains.
 
-    The closed form is the closure of pi's cells (``beta_from_perm`` checks
-    it), a join-congruence, so its block tops give the lattice unvalidated;
+    Each call computes the closed form once and keeps nothing.  The closed
+    form is the closure of pi's cells (``beta_from_perm`` checks it), a
+    join-congruence, so its block tops give the lattice unvalidated;
     no boundary edge collapses and every join-irreducible lies on the
     boundary, so the boundary images give the diagram unvalidated too.
     The result is a slim semimodular lattice of length n; this map is a
     bijection onto bordered diagrams of such lattices, inverted by
     :func:`slimlat.extract.extract_permutation`.
     """
-    n = pi.n
-    side = n + 1
-    labels, tops = _formula_blocks(n, pi.images)
-    lattice = _lattice_from_tops(n, labels, [t // side for t in tops], [t % side for t in tops])
-    return BorderedDiagram._trusted(lattice, labels[::side], labels[:side])
+    return _phi0_parts(pi)[0]
 
 
-def heuristic_layout(pi: Permutation, lattice: FiniteLattice | None = None
-                     ) -> dict[int, tuple[int, int]]:
-    """Drawing hints for phi0(pi): y is the height, x the signed offset j - i
-    of the block top.  Purely cosmetic; nothing downstream depends on it.
+def _layout(diagram: BorderedDiagram, tops: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """heuristic_layout of the diagram phi0 built from these block tops,
+    whose labels are the element ids of its lattice."""
+    side, height = diagram.n + 1, diagram.lattice.height
+    return {lab: (top % side - top // side, height[lab]) for lab, top in enumerate(tops)}
 
-    A caller that holds phi0(pi).lattice already passes it as lattice, which
-    saves building it again.
-    """
-    if lattice is None:
-        lattice = phi0(pi).lattice
-    # block labels are the element ids of the quotient lattice
-    side = pi.n + 1
-    tops = _formula_blocks(pi.n, pi.images)[1]
-    return {lab: (tops[lab] % side - tops[lab] // side, lattice.height[lab])
-            for lab in range(lattice.size)}
+
+def heuristic_layout(pi: Permutation) -> dict[int, tuple[int, int]]:
+    """Drawing hints for phi0(pi), which it builds: y is the height, x the
+    signed offset j - i of the block top.  Purely cosmetic; nothing
+    downstream depends on it."""
+    diagram, _, tops = _phi0_parts(pi)
+    return _layout(diagram, tops)
 
 
 # -- rendering -------------------------------------------------------------------

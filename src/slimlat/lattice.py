@@ -75,11 +75,12 @@ class FiniteLattice:
     answer a comparable pair at once, and otherwise walk through the covers
     to the element whose cone is the intersection of two cones (see _walk).
 
-    The constructor validates its input: the covers must be the transitive
-    reduction of a bounded order, and one cover test or walk per pair of
-    upper covers of an element checks that every pair has a join and a meet (see
-    _check_bounds).  _from_covers_up builds the lattices known to be
-    lattices by construction without that check.
+    The constructor validates its input: the covers, a set in which a pair
+    listed twice counts once, must be the transitive reduction of a bounded
+    order, and one cover test or walk per pair of upper covers of an element
+    checks that every pair has a join and a meet (see _check_bounds).
+    _from_covers_up builds the lattices known to be lattices by construction
+    without that check.
 
     A lattice keeps no computed results, so the work a call does never
     depends on the calls made before it: each entry point of extract
@@ -366,8 +367,10 @@ def _walk(x: int, common: int, covers: Sequence[Sequence[int]], cone: Sequence[i
 def from_covers(size: int, covers: Iterable[tuple[int, int]]) -> FiniteLattice:
     """Validate a Hasse diagram and return the lattice it presents.
 
-    Raises Cyclic, NotReduced, or NotALattice when the input is not the
-    transitive reduction of a (bounded) lattice order.
+    The covers are a set: a pair listed twice counts once, so
+    from_covers(2, [(0, 1), (0, 1)]) == from_covers(2, [(0, 1)]).  Raises
+    Cyclic, NotReduced, or NotALattice when the input is not the transitive
+    reduction of a (bounded) lattice order.
     """
     return FiniteLattice(size, covers)
 

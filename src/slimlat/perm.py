@@ -161,7 +161,7 @@ class Permutation(_Frozen):
         >>> Permutation((1, 3, 2)).restrict(2, 3).images
         (2, 1)
         """
-        if not (1 <= lo and hi <= self.n and lo <= hi):
+        if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi <= self.n):
             raise IntervalOutOfRange(f"{lo}..{hi} is not a nonempty interval of 1..{self.n}")
         if not is_closed(self, range(lo, hi + 1)):
             raise ValueError(f"{lo}..{hi} is not closed under {self.images}")
@@ -217,6 +217,14 @@ class SegmentPartition(_Frozen):
         return tuple(seg[-1] for seg in self.segments)
 
 
+def _require_permutation(sigma: Permutation) -> tuple[int, ...]:
+    """sigma's images; raises TypeError, naming the type, unless sigma is a
+    Permutation."""
+    if not isinstance(sigma, Permutation):
+        raise TypeError(f"expected a Permutation, got {type(sigma).__name__}")
+    return sigma.images
+
+
 def validate(images: Iterable[int]) -> Permutation:
     """Check one-line notation and wrap it; raises DuplicateValue / OutOfRange.
 
@@ -234,6 +242,7 @@ def is_closed(sigma: Permutation, interval: Iterable[int]) -> bool:
     >>> is_closed(Permutation((2, 3, 1)), [1])
     False
     """
+    _require_permutation(sigma)
     members = sorted(interval)
     if not members:
         return True
@@ -260,7 +269,7 @@ def segments(sigma: Permutation) -> SegmentPartition:
     parts = []
     start = 1
     running = 0
-    for k, v in enumerate(sigma.images, start=1):
+    for k, v in enumerate(_require_permutation(sigma), start=1):
         running = max(running, v)
         if running == k:
             parts.append(tuple(range(start, k + 1)))
@@ -290,7 +299,7 @@ def rho_equivalent(sigma: Permutation, mu: Permutation) -> bool:
     >>> rho_equivalent(Permutation((1, 2)), Permutation((2, 1)))
     False
     """
-    if sigma.n != mu.n:
+    if len(_require_permutation(sigma)) != len(_require_permutation(mu)):
         raise LengthMismatch(f"sizes differ: {sigma.n} vs {mu.n}")
     segs = segments(sigma)
     if segs != segments(mu):
@@ -349,8 +358,8 @@ def is_involution_on(sigma: Permutation, lo: int, hi: int) -> bool:
     >>> is_involution_on(Permutation((2, 1, 4, 5, 3)), 3, 5)
     False
     """
-    images = sigma.images
-    if not 1 <= lo <= hi <= len(images):
+    images = _require_permutation(sigma)
+    if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi <= len(images)):
         raise IntervalOutOfRange(f"{lo}..{hi} is not a nonempty interval of 1..{len(images)}")
     return all(lo <= images[i - 1] <= hi and images[images[i - 1] - 1] == i
                for i in range(lo, hi + 1))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimlat import cli, extract, grid, lattice, perm, verify
+from slimlat import cli, extract, grid, groups, lattice, perm, verify
 from slimlat.cli import main, parse_permutation
 from slimlat.perm import Permutation
 
@@ -274,6 +274,17 @@ class TestGroupRealize:
         assert code == 0
         assert out.count("digraph") == 2
 
+    def test_dot_builds_the_intersection_lattice_once(self, capsys, monkeypatch):
+        # the first graph is the dual of the diagram's lattice, which is the
+        # intersection lattice itself, so it is not built again
+        build, calls = groups._intersection_lattice, []
+        monkeypatch.setattr(groups, "_intersection_lattice",
+                            lambda inst: calls.append(inst) or build(inst))
+        code, out, _ = run(capsys, "group-realize", "--perm", "3,1,4,2", "--format", "dot")
+        assert code == 0 and len(calls) == 1
+        labels = {k: str(d) for k, d in enumerate(calls[0].elements)}
+        assert out.startswith(lattice.to_dot(groups.csl_lattice(calls[0]), labels, name="csl"))
+
     def test_bad_primes(self, capsys):
         code, _, _ = run(capsys, "group-realize", "--perm", "2,1", "--primes", "4,5")
         assert code == 2
@@ -434,6 +445,25 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert "formula_oracle" in failed
+
+    def test_formula_oracle_catches_a_closed_form_fault(self, capsys, monkeypatch):
+        # the closed form splits the first element that is not its block's
+        # top off its block, leaving the collapsed edges at it uncollapsed
+        formula = grid._formula_blocks
+
+        def faulty(n, images):
+            labels, tops = formula(n, images)
+            keys = [tops[lab] for lab in labels]
+            e = next(e for e, key in enumerate(keys) if key != e)
+            keys[e] = e
+            canon: dict[int, int] = {}
+            return tuple([canon.setdefault(key, len(canon)) for key in keys]), list(canon)
+
+        monkeypatch.setattr(grid, "_formula_blocks", faulty)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
         assert "formula_oracle" in failed
 
     @pytest.mark.parametrize("module, name, wrong", [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from slimlat import cli, grid, lattice
+from slimlat import cli, grid, lattice, verify
 from slimlat.grid import Grid, GridCell, GridCongruence
 from slimlat.perm import LengthMismatch, Permutation, segments
 
@@ -647,19 +647,25 @@ class TestPhi0:
             want = GridCongruence(pi.n, labels).block_tops()
             assert [divmod(t, pi.n + 1) for t in tops] == list(want), pi
 
-    def test_memo_caches_are_bounded(self):
-        assert grid._formula_blocks.cache_info().maxsize <= 4
-
-    def test_memo_serves_the_permutation_just_built(self):
+    def test_each_call_runs_the_closed_form_once(self, monkeypatch, capsys):
+        # nothing is cached: each route below computes pi's closed form once,
+        # and once again when it is repeated
+        formula, calls = grid._formula_blocks, []
+        monkeypatch.setattr(grid, "_formula_blocks",
+                            lambda n, images: calls.append(images) or formula(n, images))
         pi = Permutation(tuple(range(9, 0, -1)))
-        grid._formula_blocks.cache_clear()
-        d = grid.phi0(pi)
-        grid.beta_from_formula(Grid(pi.n), pi)
-        assert grid._formula_blocks.cache_info().hits == 1
-        grid.heuristic_layout(pi, d.lattice)
-        assert grid._formula_blocks.cache_info().hits == 2
-        grid.beta_from_perm(Grid(pi.n), pi)
-        assert grid._formula_blocks.cache_info().hits == 3
+        text = ",".join(map(str, pi.images))
+        for route in (lambda: cli.main(["build", "--perm", text]),
+                      lambda: cli.main(["build", "--perm", text, "--format", "dot"]),
+                      lambda: verify._check_bundle((pi.n, pi.images)),
+                      lambda: grid.phi0(pi),
+                      lambda: grid.heuristic_layout(pi),
+                      lambda: grid.beta_from_perm(Grid(pi.n), pi)):
+            for _ in range(2):
+                calls.clear()
+                route()
+                assert calls == [pi.images]
+        capsys.readouterr()
 
     def test_production_never_runs_the_closure(self, monkeypatch, capsys):
         def refuse(*args):

@@ -149,6 +149,16 @@ class TestFromCovers:
         two = lattice.from_covers(2, [(0, 1)])
         assert lattice.lattice_from_json(lattice.lattice_to_json(two)) == two
 
+    def test_duplicate_covers_count_once(self):
+        # the covers are a set, and the JSON of the lattice lists each once
+        twice = lattice.from_covers(2, [(0, 1), (0, 1)])
+        assert twice == lattice.from_covers(2, [(0, 1)])
+        obj = lattice.lattice_to_json(twice)
+        assert obj == {"size": 2, "covers": [[0, 1]]}
+        assert lattice.lattice_from_json(obj) == twice
+        b2 = lattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (0, 1), (2, 3), (1, 3)])
+        assert b2 == B2 and lattice.lattice_to_json(b2) == lattice.lattice_to_json(B2)
+
     def test_unbounded_rejected(self):
         with pytest.raises(lattice.NotALattice):
             lattice.from_covers(2, [])  # two incomparable points
@@ -328,9 +338,9 @@ class TestConesOnDemand:
     def test_build_route_builds_no_cone(self):
         for images in ((), (1,), (3, 1, 4, 2), tuple(range(12, 0, -1))):
             pi = Permutation(images)
-            d = grid.phi0(pi)
+            d, _, tops = grid._phi0_parts(pi)
             lattice.diagram_to_json(d)
-            grid.heuristic_layout(pi, d.lattice)
+            grid._layout(d, tops)
             lattice.to_dot(d.lattice)
             assert built(d.lattice) == [False] * 2, images
 

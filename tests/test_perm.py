@@ -289,6 +289,29 @@ class TestRestrictionAndCycles:
         with pytest.raises(ValueError):
             Permutation((2, 3, 1)).restrict(1, 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda: perm.segments((2, 1)),
+        lambda: perm.canonical_rep((2, 1)),
+        lambda: perm.class_size((2, 1)),
+        lambda: perm.rho_class((2, 1)),
+        lambda: perm.rho_equivalent((2, 1), Permutation((2, 1))),
+        lambda: perm.rho_equivalent(Permutation((2, 1)), (2, 1)),
+        lambda: perm.is_involution_on((2, 1), 1, 2),
+        lambda: perm.is_closed((2, 1), [1, 2]),
+    ])
+    def test_refuses_a_tuple_for_a_permutation(self, call):
+        with pytest.raises(TypeError, match="^expected a Permutation, got tuple$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: Permutation((2, 1)).restrict(1.5, 2),
+        lambda: Permutation((2, 1)).restrict(1, 2.0),
+        lambda: perm.is_involution_on(Permutation((2, 1)), 1.5, 2),
+    ])
+    def test_refuses_an_interval_bound_that_is_not_an_int(self, call):
+        with pytest.raises(perm.IntervalOutOfRange, match="is not a nonempty interval of 1..2$"):
+            call()
+
     def test_involution_on_checks_its_interval(self):
         sigma = Permutation((2, 3, 1))
         for lo, hi in ((0, 1), (-1, 1), (2, 4), (0, 3), (3, 2)):
