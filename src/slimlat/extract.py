@@ -188,11 +188,18 @@ def _trajectory_images(diagram: BorderedDiagram) -> tuple[int, ...]:
 
 
 def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
-    """Extraction by meet-irreducible witnesses.  Tests semimodularity only:
-    the lattice of a bordered diagram is slim by construction.  The down-set
-    of the witness u meets the right chain in a prefix, so j is its size."""
+    """Extraction by meet-irreducible witnesses (see _meet_irreducible_images).
+    Tests semimodularity only: the lattice of a bordered diagram is slim by
+    construction."""
+    _require_semimodular(diagram.lattice)
+    return Permutation(_meet_irreducible_images(diagram))
+
+
+def _meet_irreducible_images(diagram: BorderedDiagram) -> tuple[int, ...]:
+    """Extraction by meet-irreducible witnesses, as unvalidated images, on a
+    lattice its caller has found semimodular.  The down-set of the witness u
+    meets the right chain in a prefix, so j is its size."""
     lattice, left = diagram.lattice, diagram.left_chain
-    _require_semimodular(lattice)
     up, down, height, covers_up = lattice.up, lattice.down, lattice.height, lattice.covers_up
     right_mask = sum(1 << d for d in diagram.right_chain)
     images = []
@@ -212,7 +219,7 @@ def pi2_meet_irreducibles(diagram: BorderedDiagram) -> Permutation:
         if len(covers_up[u]) != 1:
             raise UniquenessViolated(f"witness {u} at step {i} is not meet-irreducible")
         images.append((down[u] & right_mask).bit_count())
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def _source_cell_images(diagram: BorderedDiagram) -> tuple[int, ...]:

@@ -8,17 +8,30 @@ suite checks follow: isomorphism against the equivalence, diagram counts by
 search, group realization, class counts, and random round trips.  Each side
 of a check is an independent route, so a fault in one shows as a mismatch.
 
+The bundles are checked in batches of BATCH_SIZE permutations, cut in task
+order: phi0's parts and the closure are built for a whole batch, and then
+each check runs over the batch before the next.  With more than one usable
+CPU, forked workers take the suite checks and then the batches, those of
+the largest permutations first, each taking the next job whenever it is
+free; the last jobs are the cheapest, so the workers finish together.  The
+failures are reported in task order either way.
+
 The command-line front end imports this module only for ``verify``.
 """
 from __future__ import annotations
 
+import functools
+import io
 import itertools
+import marshal
 import os
 import random
+import select
+import sys
 import time
 
-# the bundle's modules, imported with this one before the pool forks, so
-# that the workers inherit them instead of each importing them again
+# the bundle's modules, imported with this one before the workers fork, so
+# that they inherit them instead of each importing them again
 from slimlat import extract, grid, lattice, perm
 from slimlat.perm import Permutation
 
@@ -33,51 +46,96 @@ RANDOM_SIZE_CAP = 32
 BUNDLE_CHECKS = ("round_trip", "formula_oracle", "source_cells_regenerate",
                  "structural", "narrows_segments")
 
+# Permutations per batch of bundles.  In-process at n <= 7 on one CPU of a
+# 2-vCPU VM, a bundle costs 204 us in batches of 1 and 156-162 us in batches
+# of 16 to 256, and a worker's peak RSS in verify --n 8 is 25.4-27.9 MB up
+# to 256, 27.2 MB at 512 and 30.0 MB at 1,024: each batch holds its
+# lattices, with their cones, until its last check.
+BATCH_SIZE = 128
 
-def _check_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
-    """Per-permutation invariant bundle; returns the names of failed checks.
 
-    A check that raises has failed, and so has every check on a diagram or
-    congruence that could not be built.
+def _check_batch(tasks: list[tuple[int, tuple[int, ...]]]) -> list[list[str]]:
+    """The names of the failed BUNDLE_CHECKS of each task (n, images), in
+    task order.
+
+    phi0's parts and the closure are built for the whole batch, and then each
+    check runs over the whole batch before the next.  A check that raises has
+    failed for its permutation only, and so has every check on a diagram or
+    congruence that could not be built (None).  Each lattice's
+    semimodularity is tested once, for round_trip and structural.
     """
-    n, images = task
-    pi = Permutation(images)
-    g = grid.Grid(n)
-    # both None if phi0 raised, which fails formula_oracle as well
-    diagram, labels, _ = _built(grid._phi0_parts, pi) or (None, None, None)
-    kappa = _built(grid.beta_from_perm, g, pi, check=False)
+    pis = [Permutation(images) for _, images in tasks]
+    parts = [_built(grid._phi0_parts, pi) or (None, None, None) for pi in pis]
+    kappas = [_built(grid.beta_from_perm, grid.Grid(pi.n), pi, check=False) for pi in pis]
+    images = [pi.images for pi in pis]
+    diagrams = [diagram for diagram, _, _ in parts]
+    formula = _each(_formula_oracle, zip(kappas, [labels for _, labels, _ in parts]))
+    del parts  # the labels and tops are not read again
+    regenerate = _each(_source_cells_regenerate, zip(kappas, images))
+    del kappas
+    # None where phi0 or the test raised, which fails both checks that read it
+    semimodular = [_built(lattice.is_semimodular, d.lattice) if d is not None else None
+                   for d in diagrams]
+    trips = _each(_round_trip, zip(diagrams, images, semimodular))
+    structural = _each(_structural, zip(diagrams, [n for n, _ in tasks], semimodular))
+    narrows = _each(_narrows_segments, zip(diagrams, pis))
+    return [[name for name, ok in zip(BUNDLE_CHECKS, oks) if not ok]
+            for oks in zip(trips, formula, regenerate, structural, narrows)]
 
-    def round_trip() -> bool:
-        return extract.extract_permutation(diagram, verify=True) == pi
 
-    def formula_oracle() -> bool:
-        return kappa.labels == labels
+def _each(check, rows) -> list[bool]:
+    """check(*row) for each row, in order, with False where it raises.  Each
+    check fails where its diagram or congruence is None."""
+    results: list[bool] = []
+    rows = iter(rows)
+    while True:
+        try:
+            # resumed after a raising row, so each row is checked once
+            for row in rows:
+                results.append(check(*row))
+            return results
+        except Exception:
+            results.append(False)
 
-    def source_cells_regenerate() -> bool:
-        # one scan of kappa's cells gives both; the cells come in row-major
-        # order, so they are the graph of pi iff they equal its (i, pi(i))
-        cells, regenerated = grid._regenerate(kappa)
-        return cells == tuple(enumerate(images, start=1)) and regenerated == kappa
 
-    def structural() -> bool:
-        lat = diagram.lattice
-        boundary = diagram.boundary()
-        return (lattice.is_slim(lat)
-                and lattice.is_semimodular(lat)
-                and lat.length == n
-                and len(lattice.meet_irreducibles(lat)) == n
-                and max(map(len, lat.covers_up)) <= 2
-                and all(x in boundary for x in lattice.join_irreducibles(lat)))
+def _round_trip(diagram, images: tuple[int, ...], semimodular: bool) -> bool:
+    # extract_permutation(diagram, verify=True) == pi: the semimodularity it
+    # tests, then the three extractors' images, each pi's
+    return (semimodular and extract._meet_irreducible_images(diagram) == images
+            and extract._trajectory_images(diagram) == images
+            and extract._source_cell_images(diagram) == images)
 
-    def narrows_segments() -> bool:
-        lat = diagram.lattice
-        heights = {lat.height[x] for x in lattice.narrows(lat)}
-        return heights == {0} | set(perm.segments(pi).maxima())
 
-    checks = ((diagram, round_trip), (kappa, formula_oracle), (kappa, source_cells_regenerate),
-              (diagram, structural), (diagram, narrows_segments))
-    return [name for name, (built, check) in zip(BUNDLE_CHECKS, checks)
-            if built is None or not _passes(check)]
+def _formula_oracle(kappa, labels: tuple[int, ...]) -> bool:
+    return kappa is not None and kappa.labels == labels
+
+
+def _source_cells_regenerate(kappa, images: tuple[int, ...]) -> bool:
+    # one scan of kappa's cells gives both; the cells come in row-major
+    # order, so they are the graph of pi iff they equal its (i, pi(i))
+    if kappa is None:
+        return False
+    cells, regenerated = grid._regenerate(kappa)
+    return cells == tuple(enumerate(images, start=1)) and regenerated == kappa
+
+
+def _structural(diagram, n: int, semimodular: bool) -> bool:
+    if not semimodular:  # None as well where phi0 raised
+        return False
+    lat = diagram.lattice
+    return (lattice.is_slim(lat)
+            and lat.length == n
+            and len(lattice.meet_irreducibles(lat)) == n
+            and max(map(len, lat.covers_up)) <= 2
+            and diagram.boundary().issuperset(lattice.join_irreducibles(lat)))
+
+
+def _narrows_segments(diagram, pi: Permutation) -> bool:
+    if diagram is None:
+        return False
+    lat = diagram.lattice
+    heights = {lat.height[x] for x in lattice.narrows(lat)}
+    return heights == {0} | set(perm.segments(pi).maxima())
 
 
 def _built(build, *args, **kwargs):
@@ -88,23 +146,98 @@ def _built(build, *args, **kwargs):
         return None
 
 
-def _passes(check) -> bool:
-    """check(), with an exception counted as a failure."""
+def _forked_map(jobs: list, workers: int) -> list:
+    """[job() for job in jobs], computed in that many forked children.
+
+    The children inherit the jobs and the imported modules, so nothing is
+    pickled or imported, and the caller must run no other thread.  Each
+    child takes the index of its next job from a pipe they share whenever it
+    is free, and writes each result, of the types marshal writes, to a pipe
+    of its own.  Raises RuntimeError unless every child ends well.
+    """
+    if not jobs:
+        return []
+    # 4-byte indices, fed in writes of 512 bytes at most: a pipe write of at
+    # most PIPE_BUF bytes, never under 512, is whole or refused, so each
+    # read of 4 bytes takes one index
+    tokens = b"".join(k.to_bytes(4, "big") for k in range(len(jobs)))
+    tokens_r, tokens_w = os.pipe()
+    streams: dict[int, bytearray] = {}  # each child's result pipe, read so far
+    pids = []
+    for _ in range(min(workers, len(jobs))):
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            for fd in (tokens_w, result_r, *streams):
+                os.close(fd)
+            _serve(jobs, tokens_r, result_w)
+        os.close(result_w)
+        streams[result_r] = bytearray()
+        pids.append(pid)
+    os.close(tokens_r)
+    os.set_blocking(tokens_w, False)
+    poller = select.poll()
+    poller.register(tokens_w, select.POLLOUT)
+    for fd in streams:
+        poller.register(fd, select.POLLIN)
+    outputs = []
+    while streams:
+        for fd, _ in poller.poll():
+            if fd == tokens_w:
+                try:
+                    tokens = tokens[os.write(tokens_w, tokens[:512]):]
+                except BlockingIOError:
+                    continue
+                if not tokens:  # the children stop at the end of the pipe
+                    poller.unregister(tokens_w)
+                    os.close(tokens_w)
+            else:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    streams[fd] += chunk
+                else:
+                    poller.unregister(fd)
+                    os.close(fd)
+                    outputs.append(streams.pop(fd))
+    if tokens:  # every child ended before the last job
+        os.close(tokens_w)
+    statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise RuntimeError(f"a verify worker failed (exit statuses {statuses})")
+    # a child that exits 0 has read the pipe of indices to its end, so
+    # every job has run
+    results: list = [None] * len(jobs)
+    for output in outputs:
+        stream = io.BytesIO(output)
+        while stream.tell() < len(output):
+            k, result = marshal.load(stream)
+            results[k] = result
+    return results
+
+
+def _serve(jobs: list, tokens_r: int, result_w: int) -> None:
+    """A child of _forked_map: runs the jobs whose indices it reads, writes
+    each result with its index as it is done, and exits, with status 1 if
+    anything raised."""
+    status = 1
     try:
-        return check()
+        with open(result_w, "wb") as out:
+            while token := os.read(tokens_r, 4):
+                k = int.from_bytes(token, "big")
+                marshal.dump((k, jobs[k]()), out)
+        status = 0
     except Exception:
-        return False
-
-
-def _pooled_bundle(task: tuple[int, tuple[int, ...]]) -> list[str]:
-    """_check_bundle(task) in a pool worker.  The pool pickles this
-    function by name, and the worker looks _check_bundle up only when it
-    runs, so a replacement of _check_bundle need not be picklable."""
-    return _check_bundle(task)
+        sys.excepthook(*sys.exc_info())
+    finally:  # never returns into the parent's code
+        sys.stderr.flush()
+        os._exit(status)
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, or 1 where it cannot
+    fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -114,8 +247,9 @@ def _usable_cpus() -> int:
 def run(n_max: int, seed: int, note) -> dict:
     """The report of the bundles up to size min(n_max, EXHAUSTIVE_CAP), then
     the suite checks, in that order; note(message) is called with the run's
-    one progress line.  With more than one usable CPU, the suite and then the
-    bundles are submitted to one process pool; with one, all run here."""
+    one progress line.  With more than one usable CPU, the suite checks and
+    the batches of bundles run in forked workers (see _forked_map); with
+    one, all run here."""
     started = time.perf_counter()
     if n_max < 0:
         raise ValueError("--n must be nonnegative")
@@ -125,24 +259,22 @@ def run(n_max: int, seed: int, note) -> dict:
     tasks = [(k, images) for k in range(1, bundle_scale + 1)
              for images in itertools.permutations(range(1, k + 1))]
     suite = [(name, min(n_max, cap), check, min(n_max, cap)) for name, cap, check in (
-        ("pairwise_iso", PAIRWISE_CAP, "_check_pairwise_iso"),
-        ("diagram_count", DIAGRAMS_CAP, "_check_diagram_counts"),
-        ("group_realization", GROUPS_CAP, "_check_group_realization"),
-        ("class_counts", perm.ENUMERATION_CAP, "_check_class_counts"))]
+        ("pairwise_iso", PAIRWISE_CAP, _check_pairwise_iso),
+        ("diagram_count", DIAGRAMS_CAP, _check_diagram_counts),
+        ("group_realization", GROUPS_CAP, _check_group_realization),
+        ("class_counts", perm.ENUMERATION_CAP, _check_class_counts))]
     suite.append(("random_round_trip", min(n_max + 2, RANDOM_SIZE_CAP),
-                  "_check_random_round_trip", n_max, seed))
+                  _check_random_round_trip, n_max, seed))
+    batches = [tasks[k:k + BATCH_SIZE] for k in range(0, len(tasks), BATCH_SIZE)]
     workers = _usable_cpus()
     note(f"checking {len(tasks)} permutation bundles with {workers} worker(s)")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = [pool.submit(_guarded, *entry) for entry in suite]
-            chunk = max(1, len(tasks) // (workers * 8))
-            failure_lists = list(pool.map(_pooled_bundle, tasks, chunksize=chunk))
-            suite_reports = [future.result() for future in pending]
-    else:
-        failure_lists = [_check_bundle(task) for task in tasks]
-        suite_reports = [_guarded(*entry) for entry in suite]
+    # the suite first, then the batches of the largest permutations: the
+    # last jobs are the cheapest, so forked workers finish together
+    jobs = [functools.partial(_guarded, *entry) for entry in suite]
+    jobs += [functools.partial(_check_batch, batch) for batch in reversed(batches)]
+    results = _forked_map(jobs, workers) if workers > 1 else [job() for job in jobs]
+    suite_reports = results[:len(suite)]
+    failure_lists = [fails for batch in reversed(results[len(suite):]) for fails in batch]
     for name in BUNDLE_CHECKS:
         bad = [task for task, fails in zip(tasks, failure_lists) if name in fails]
         checks.append({
@@ -162,11 +294,10 @@ def run(n_max: int, seed: int, note) -> dict:
     }
 
 
-def _guarded(name: str, scale: int, check: str, *args) -> dict:
-    """The report of this module's check named check on args, or a failed one if
-    it raises; looked up by name when it runs, so a pool pickles only the name."""
+def _guarded(name: str, scale: int, check, *args) -> dict:
+    """The report of check(*args), or a failed one if it raises."""
     try:
-        return globals()[check](*args)
+        return check(*args)
     except Exception as exc:
         return {"name": name, "scale": scale, "passed": False,
                 "details": f"raised {type(exc).__name__}: {exc}"}

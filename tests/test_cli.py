@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -403,10 +405,10 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"] is True
 
     def test_bundles_follow_the_exhaustive_cap(self, capsys, monkeypatch):
-        bundle, seen = verify._check_bundle, []
+        batch, seen = verify._check_batch, []
         monkeypatch.setattr(verify, "EXHAUSTIVE_CAP", 3)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(verify, "_check_bundle", lambda task: seen.append(task) or bundle(task))
+        monkeypatch.setattr(verify, "_check_batch", lambda tasks: seen.extend(tasks) or batch(tasks))
         code, out, err = run(capsys, "verify", "--n", "4")
         assert code == 0 and "checking 9 permutation bundles" in err
         assert seen == [(n, images) for n in (1, 2, 3)
@@ -424,11 +426,11 @@ class TestVerify:
         for n in range(1, 6):
             for images in itertools.permutations(range(1, n + 1)):
                 scanned.clear()
-                assert verify._check_bundle((n, images)) == []
+                assert verify._check_batch([(n, images)]) == [[]]
                 assert [k.labels for k in scanned] == [grid._formula_blocks(n, images)[0]]
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "_check_bundle", lambda task: ["round_trip"])
+        monkeypatch.setattr(verify, "_check_batch", lambda tasks: [["round_trip"] for _ in tasks])
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 1
         report = json.loads(out)
@@ -499,6 +501,63 @@ class TestVerify:
         assert reports[0] == reports[1]
         assert reports[0]["inputs"] == {"n": 5, "seed": 0}
 
+    @pytest.mark.parametrize("build, failed", [
+        ("_phi0_parts", ["round_trip", "formula_oracle", "structural", "narrows_segments"]),
+        ("beta_from_perm", ["formula_oracle", "source_cells_regenerate"]),
+    ])
+    def test_an_unbuilt_input_fails_its_checks_alone(self, monkeypatch, build, failed):
+        # phi0's parts or the closure raise for (2, 3, 1) only, which fails
+        # the checks that read them for that permutation and no other check
+        original = getattr(grid, build)
+
+        def faulty(*args, **kwargs):
+            pi = next(a for a in args if isinstance(a, Permutation))
+            if pi.images == (2, 3, 1):
+                raise RuntimeError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grid, build, faulty)
+        tasks = [(n, images) for n in (1, 2, 3) for images in itertools.permutations(range(1, n + 1))]
+        assert verify._check_batch(tasks) == [
+            failed if images == (2, 3, 1) else [] for _, images in tasks]
+
+    def test_forked_workers_keep_the_job_order(self):
+        # 1,200 bytes of job indices: fed to the workers in three writes
+        jobs = [functools.partial(pow, k, 2) for k in range(300)]
+        assert verify._forked_map(jobs, 3) == [k * k for k in range(300)]
+        assert verify._forked_map(jobs[:1], 2) == [0]
+        assert verify._forked_map([], 2) == []
+
+    def test_a_raising_job_fails_the_forked_workers(self, capfd):
+        with pytest.raises(RuntimeError, match="a verify worker failed"):
+            verify._forked_map([lambda: 1, lambda: 1 / 0, lambda: 2], 2)
+        assert "ZeroDivisionError" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_batches_change_no_report(self, monkeypatch, fault):
+        # neither the batch size nor the number of workers changes the report
+        # but for wall_time_s, on clean code and with a check that raises on
+        # the permutations whose lattice size is a multiple of 3
+        if fault:
+            images_of = extract._trajectory_images
+
+            def faulty(diagram):
+                if diagram.lattice.size % 3 == 0:
+                    raise extract.TrajectoryAmbiguous("injected")
+                return images_of(diagram)
+            monkeypatch.setattr(extract, "_trajectory_images", faulty)
+        whole = sum(math.factorial(k) for k in range(1, 7))
+        reports = []
+        for workers, batch in ((1, verify.BATCH_SIZE), (2, verify.BATCH_SIZE),
+                               (3, verify.BATCH_SIZE), (1, 1), (2, 1), (1, whole), (2, whole)):
+            monkeypatch.setattr(verify, "_usable_cpus", lambda workers=workers: workers)
+            monkeypatch.setattr(verify, "BATCH_SIZE", batch)
+            report = verify.run(6, 3, lambda message: None)
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert all(report == reports[0] for report in reports[1:])
+        assert reports[0]["passed"] is not fault
+
     @pytest.mark.parametrize("position, check", [
         (None, None),
         (0, "_check_pairwise_iso"),
@@ -533,8 +592,8 @@ class TestVerify:
         parent = os.getpid()
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         # fails only where it runs outside this process, and only at size 3
-        monkeypatch.setattr(verify, "_check_bundle", lambda task: (
-            ["structural"] if task[0] == 3 and os.getpid() != parent else []))
+        monkeypatch.setattr(verify, "_check_batch", lambda tasks: [
+            ["structural"] if n == 3 and os.getpid() != parent else [] for n, _ in tasks])
         code, out, err = run(capsys, "verify", "--n", "3")
         assert code == 1 and "with 2 worker(s)" in err
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]

@@ -657,7 +657,7 @@ class TestPhi0:
         text = ",".join(map(str, pi.images))
         for route in (lambda: cli.main(["build", "--perm", text]),
                       lambda: cli.main(["build", "--perm", text, "--format", "dot"]),
-                      lambda: verify._check_bundle((pi.n, pi.images)),
+                      lambda: verify._check_batch([(pi.n, pi.images)]),
                       lambda: grid.phi0(pi),
                       lambda: grid.heuristic_layout(pi),
                       lambda: grid.beta_from_perm(Grid(pi.n), pi)):
