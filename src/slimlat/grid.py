@@ -15,12 +15,12 @@ collapsed prime intervals admit a closed form (an edge in the c-direction
 with top (i, j) is collapsed iff pi(i) <= j, and dually), and ``phi0``
 builds its congruence from that predicate once per call, keeping none:
 ``_phi0_parts`` hands the labels and block tops to ``build``'s layout and
-to a ``verify`` bundle's oracle.  The closure from generating pairs backs
-``congruence_closure``, ``jcong_cell``, ``regenerate`` and the
-``beta_from_perm`` oracle, an independent route to the same congruence: it
-never reads the edge predicate, and finds the closed elements of the
-congruence (those that no generating pair separates) with one bitmask per
-pair, then maps each element to the least closed element above it.
+to a ``verify`` bundle, which regenerates it from its source cells.  The
+closure from generating pairs backs ``congruence_closure``, ``jcong_cell``,
+``regenerate`` and ``beta_from_perm``, an independent route: it never reads
+the edge predicate, and finds the closed elements of the congruence (those
+that no generating pair separates) with one bitmask per pair, then maps
+each element to the least closed element above it.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice
-from slimlat.perm import LengthMismatch, Permutation, _Frozen
+from slimlat.perm import LengthMismatch, Permutation, _Frozen, _require_permutation
 
 Coord = tuple[int, int]
 
@@ -325,7 +325,7 @@ def beta_from_perm(grid: Grid, pi: Permutation, check: bool = True) -> GridCongr
     With check (the default) the result is compared against the closed-form
     route and a mismatch, which means a closure bug, raises RuntimeError.
     """
-    if pi.n != grid.n:
+    if len(_require_permutation(pi)) != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
     kappa = GridCongruence(grid.n, _closure_labels(
         grid.n, _cell_pairs(grid.n, enumerate(pi.images, start=1))))
@@ -336,14 +336,14 @@ def beta_from_perm(grid: Grid, pi: Permutation, check: bool = True) -> GridCongr
 
 def beta_from_formula(grid: Grid, pi: Permutation) -> GridCongruence:
     """The same congruence assembled from the closed-form edge predicate only."""
-    if pi.n != grid.n:
+    if len(_require_permutation(pi)) != grid.n:
         raise LengthMismatch(f"permutation of size {pi.n} on a grid of side {grid.n}")
     return GridCongruence(grid.n, _formula_blocks(grid.n, pi.images)[0])
 
 
 def beta_formula(n: int, pi: Permutation, edge: tuple[Coord, Coord]) -> bool:
     """Closed-form membership of a prime interval in the congruence of pi."""
-    if pi.n != n:
+    if len(_require_permutation(pi)) != n:
         raise LengthMismatch(f"permutation of size {pi.n}, grid of side {n}")
     (ai, aj), (bi, bj) = edge
     if not (0 <= ai <= n and 0 <= aj <= n and 0 <= bi <= n and 0 <= bj <= n):
@@ -517,7 +517,7 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     the images of the two grid boundary chains.
 
     Each call computes the closed form once and keeps nothing.  The closed
-    form is the closure of pi's cells (``beta_from_perm`` checks it), a
+    form is the closure of pi's cells (``verify`` checks it), a
     join-congruence, so its block tops give the lattice unvalidated;
     no boundary edge collapses and every join-irreducible lies on the
     boundary, so the boundary images give the diagram unvalidated too.
@@ -525,6 +525,7 @@ def phi0(pi: Permutation) -> BorderedDiagram:
     bijection onto bordered diagrams of such lattices, inverted by
     :func:`slimlat.extract.extract_permutation`.
     """
+    _require_permutation(pi)
     return _phi0_parts(pi)[0]
 
 
@@ -539,6 +540,7 @@ def heuristic_layout(pi: Permutation) -> dict[int, tuple[int, int]]:
     """Drawing hints for phi0(pi), which it builds: y is the height, x the
     signed offset j - i of the block top.  Purely cosmetic; nothing
     downstream depends on it."""
+    _require_permutation(pi)
     diagram, _, tops = _phi0_parts(pi)
     return _layout(diagram, tops)
 

@@ -36,7 +36,7 @@ import math
 from collections.abc import Sequence
 
 from slimlat.lattice import BorderedDiagram, FiniteLattice, dual
-from slimlat.perm import LengthMismatch, Permutation, _Frozen
+from slimlat.perm import LengthMismatch, Permutation, _Frozen, _require_permutation
 
 _ORDER_CAP = 2 ** 63  # keep orders inside 64-bit machine integers
 
@@ -116,8 +116,11 @@ def csl_build(primes: Sequence[int], pi: Permutation) -> CyclicCslInstance:
     """The intersection lattice of the two composition series fixed by
     primes and pi."""
     primes = tuple(primes)
-    if len(primes) != pi.n:
+    if len(primes) != len(_require_permutation(pi)):
         raise LengthMismatch(f"{len(primes)} primes for a permutation of size {pi.n}")
+    for p in primes:  # before the memo of _is_prime, which answers 3.0 as 3
+        if type(p) is not int:
+            raise NotPrime(f"{p!r} is not an int")
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"primes {primes} are not pairwise distinct")
     for p in primes:

@@ -2,19 +2,22 @@
 
 Every permutation up to size EXHAUSTIVE_CAP gets one bundle of checks
 (BUNDLE_CHECKS): the round trip through phi0 and the three extractors, the
-closed form against the closure, the source cells and regeneration, the
-structural postconditions, and the narrows against the segments.  Five
-suite checks follow: isomorphism against the equivalence, diagram counts by
-search, group realization, class counts, and random round trips.  Each side
-of a check is an independent route, so a fault in one shows as a mismatch.
+closed form against the closure of its source cells, which must be pi's
+cells, the structural postconditions, and the narrows against the segments.
+Five suite checks follow: isomorphism against the equivalence, diagram
+counts by search, group realization, class counts, and random round trips.
+Each side of a check is an independent route, so a fault in one shows as a
+mismatch.
 
-The bundles are checked in batches of BATCH_SIZE permutations, cut in task
-order: phi0's parts and the closure are built for a whole batch, and then
-each check runs over the batch before the next.  With more than one usable
-CPU, forked workers take the suite checks and then the batches, those of
-the largest permutations first, each taking the next job whenever it is
-free; the last jobs are the cheapest, so the workers finish together.  The
-failures are reported in task order either way.
+The bundles run in jobs, each of which enumerates the permutations of one
+size that extend a prefix of images, FREE_SUFFIX values left free, and
+checks them as one batch: phi0's parts are built for the whole batch, and
+then each check runs over the batch before the next.  A job returns its
+count and its failures only, so memory does not grow with n!.  With more
+than one usable CPU, forked workers take the suite checks and then the jobs,
+those of the largest permutations first, each taking the next job whenever
+it is free; the last jobs are the cheapest, so the workers finish together.
+The failures are reported in task order either way.
 
 The command-line front end imports this module only for ``verify``.
 """
@@ -24,6 +27,7 @@ import functools
 import io
 import itertools
 import marshal
+import math
 import os
 import random
 import select
@@ -46,33 +50,51 @@ RANDOM_SIZE_CAP = 32
 BUNDLE_CHECKS = ("round_trip", "formula_oracle", "source_cells_regenerate",
                  "structural", "narrows_segments")
 
-# Permutations per batch of bundles.  In-process at n <= 7 on one CPU of a
-# 2-vCPU VM, a bundle costs 204 us in batches of 1 and 156-162 us in batches
-# of 16 to 256, and a worker's peak RSS in verify --n 8 is 25.4-27.9 MB up
+# The values a job leaves free after its prefix: a job of size 5 or more
+# checks 5! = 120 permutations, as one batch.  In-process at n <= 7 on one CPU of a
+# 2-vCPU VM, a bundle cost 204 us in batches of 1 and 156-162 us in batches
+# of 16 to 256, and a worker's peak RSS in verify --n 8 was 25.4-27.9 MB up
 # to 256, 27.2 MB at 512 and 30.0 MB at 1,024: each batch holds its
 # lattices, with their cones, until its last check.
-BATCH_SIZE = 128
+FREE_SUFFIX = 5
+
+
+def _check_prefix(n: int, prefix: tuple[int, ...]) -> tuple[int, list]:
+    """The bundles of the permutations of size n that extend prefix, in
+    lexicographic order, as one batch: their count, and (images, names of
+    the failed checks) for each permutation that failed one."""
+    rest = [v for v in range(1, n + 1) if v not in prefix]
+    tasks = [(n, prefix + suffix) for suffix in itertools.permutations(rest)]
+    return len(tasks), [(images, fails) for (_, images), fails
+                        in zip(tasks, _check_batch(tasks)) if fails]
 
 
 def _check_batch(tasks: list[tuple[int, tuple[int, ...]]]) -> list[list[str]]:
     """The names of the failed BUNDLE_CHECKS of each task (n, images), in
     task order.
 
-    phi0's parts and the closure are built for the whole batch, and then each
-    check runs over the whole batch before the next.  A check that raises has
-    failed for its permutation only, and so has every check on a diagram or
-    congruence that could not be built (None).  Each lattice's
-    semimodularity is tested once, for round_trip and structural.
+    phi0's parts are built for the whole batch, and then each check runs over
+    the whole batch before the next.  The closed form's congruence is
+    regenerated from its source cells by one closure, which must give it
+    back.  A check that raises has failed for its permutation only, and so
+    has every check on a diagram or congruence that could not be built
+    (None).  Each lattice's semimodularity is tested once, for round_trip
+    and structural.
     """
     pis = [Permutation(images) for _, images in tasks]
     parts = [_built(grid._phi0_parts, pi) or (None, None, None) for pi in pis]
-    kappas = [_built(grid.beta_from_perm, grid.Grid(pi.n), pi, check=False) for pi in pis]
     images = [pi.images for pi in pis]
     diagrams = [diagram for diagram, _, _ in parts]
-    formula = _each(_formula_oracle, zip(kappas, [labels for _, labels, _ in parts]))
-    del parts  # the labels and tops are not read again
-    regenerate = _each(_source_cells_regenerate, zip(kappas, images))
-    del kappas
+    labels = [labels for _, labels, _ in parts]
+    del parts  # the tops are not read again
+    # the source cells and regenerate(F) of the closed form F, or None where
+    # F was not built or fails the hypotheses
+    regenerated = [_built(grid._regenerate, grid.GridCongruence(pi.n, f)) if f is not None
+                   else None for pi, f in zip(pis, labels)]
+    formula = _each(_formula_oracle, zip(regenerated, labels))
+    del labels
+    regenerate = _each(_source_cells_regenerate, zip(regenerated, images, formula))
+    del regenerated
     # None where phi0 or the test raised, which fails both checks that read it
     semimodular = [_built(lattice.is_semimodular, d.lattice) if d is not None else None
                    for d in diagrams]
@@ -106,17 +128,15 @@ def _round_trip(diagram, images: tuple[int, ...], semimodular: bool) -> bool:
             and extract._source_cell_images(diagram) == images)
 
 
-def _formula_oracle(kappa, labels: tuple[int, ...]) -> bool:
-    return kappa is not None and kappa.labels == labels
+def _formula_oracle(regenerated, labels: tuple[int, ...]) -> bool:
+    # the closure of F's source cells is F; it never reads the closed form
+    return regenerated is not None and regenerated[1].labels == labels
 
 
-def _source_cells_regenerate(kappa, images: tuple[int, ...]) -> bool:
-    # one scan of kappa's cells gives both; the cells come in row-major
-    # order, so they are the graph of pi iff they equal its (i, pi(i))
-    if kappa is None:
-        return False
-    cells, regenerated = grid._regenerate(kappa)
-    return cells == tuple(enumerate(images, start=1)) and regenerated == kappa
+def _source_cells_regenerate(regenerated, images: tuple[int, ...], formula: bool) -> bool:
+    # the hypotheses held, regenerate(F) == F, and F's source cells, in
+    # row-major order, are the graph of pi: the regeneration lemma on F
+    return formula and regenerated[0] == tuple(enumerate(images, start=1))
 
 
 def _structural(diagram, n: int, semimodular: bool) -> bool:
@@ -256,8 +276,10 @@ def run(n_max: int, seed: int, note) -> dict:
     checks: list[dict] = []
 
     bundle_scale = min(n_max, EXHAUSTIVE_CAP)
-    tasks = [(k, images) for k in range(1, bundle_scale + 1)
-             for images in itertools.permutations(range(1, k + 1))]
+    total = sum(math.factorial(k) for k in range(1, bundle_scale + 1))
+    # by size, then by prefix: the jobs' permutations in itertools.permutations order
+    prefixes = [(k, prefix) for k in range(1, bundle_scale + 1)
+                for prefix in itertools.permutations(range(1, k + 1), max(k - FREE_SUFFIX, 0))]
     suite = [(name, min(n_max, cap), check, min(n_max, cap)) for name, cap, check in (
         ("pairwise_iso", PAIRWISE_CAP, _check_pairwise_iso),
         ("diagram_count", DIAGRAMS_CAP, _check_diagram_counts),
@@ -265,24 +287,32 @@ def run(n_max: int, seed: int, note) -> dict:
         ("class_counts", perm.ENUMERATION_CAP, _check_class_counts))]
     suite.append(("random_round_trip", min(n_max + 2, RANDOM_SIZE_CAP),
                   _check_random_round_trip, n_max, seed))
-    batches = [tasks[k:k + BATCH_SIZE] for k in range(0, len(tasks), BATCH_SIZE)]
     workers = _usable_cpus()
-    note(f"checking {len(tasks)} permutation bundles with {workers} worker(s)")
-    # the suite first, then the batches of the largest permutations: the
-    # last jobs are the cheapest, so forked workers finish together
+    note(f"checking {total} permutation bundles with {workers} worker(s)")
+    # the suite first, then the jobs of the largest permutations: the last
+    # jobs are the cheapest, so forked workers finish together
     jobs = [functools.partial(_guarded, *entry) for entry in suite]
-    jobs += [functools.partial(_check_batch, batch) for batch in reversed(batches)]
+    jobs += [functools.partial(_check_prefix, *job) for job in reversed(prefixes)]
     results = _forked_map(jobs, workers) if workers > 1 else [job() for job in jobs]
     suite_reports = results[:len(suite)]
-    failure_lists = [fails for batch in reversed(results[len(suite):]) for fails in batch]
+    bundle_results = results[len(suite):][::-1]  # back in task order
+    checked = sum(count for count, _ in bundle_results)
+    if checked != total:
+        raise RuntimeError(f"{checked} of {total} permutation bundles were checked")
+    failed = {name: 0 for name in BUNDLE_CHECKS}
+    first: dict[str, tuple] = {}
+    for (k, _), (_, failures) in zip(prefixes, bundle_results):
+        for images, fails in failures:
+            for name in fails:
+                failed[name] += 1
+                first.setdefault(name, (k, images))
     for name in BUNDLE_CHECKS:
-        bad = [task for task, fails in zip(tasks, failure_lists) if name in fails]
         checks.append({
             "name": name,
             "scale": bundle_scale,
-            "passed": not bad,
-            "details": (f"{len(tasks)} permutations checked" if not bad
-                        else f"{len(bad)} failures, first at {bad[0]}"),
+            "passed": not failed[name],
+            "details": (f"{total} permutations checked" if not failed[name]
+                        else f"{failed[name]} failures, first at {first[name]}"),
         })
     checks += suite_reports
     return {
@@ -365,9 +395,12 @@ def _check_group_realization(scale: int) -> dict:
 
 
 def _check_class_counts(scale: int) -> dict:
-    # the closed form against the enumeration of canonical representatives
+    # the closed form against the canonical representatives, counted by
+    # enumerate_reps's filter of all of S_k without holding them (181,607
+    # at 9, about 29 MB as a list)
     counts = perm.class_counts(scale)
-    ok = all(counts[k] == len(perm.enumerate_reps(k)) for k in range(scale + 1))
+    ok = all(counts[k] == sum(map(perm._images_canonical, itertools.permutations(range(1, k + 1))))
+             for k in range(scale + 1))
     return {"name": "class_counts", "scale": scale, "passed": ok,
             "details": f"counts {counts}"}
 

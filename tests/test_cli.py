@@ -3,7 +3,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -411,8 +410,9 @@ class TestVerify:
         monkeypatch.setattr(verify, "_check_batch", lambda tasks: seen.extend(tasks) or batch(tasks))
         code, out, err = run(capsys, "verify", "--n", "4")
         assert code == 0 and "checking 9 permutation bundles" in err
-        assert seen == [(n, images) for n in (1, 2, 3)
-                        for images in itertools.permutations(range(1, n + 1))]
+        # the jobs of the largest permutations run first
+        assert sorted(seen) == [(n, images) for n in (1, 2, 3)
+                                for images in itertools.permutations(range(1, n + 1))]
         checks = json.loads(out)["checks"]
         bundles = len(verify.BUNDLE_CHECKS)
         assert [(c["name"], c["scale"], c["details"]) for c in checks[:bundles]] == [
@@ -428,6 +428,21 @@ class TestVerify:
                 scanned.clear()
                 assert verify._check_batch([(n, images)]) == [[]]
                 assert [k.labels for k in scanned] == [grid._formula_blocks(n, images)[0]]
+
+    def test_a_bundle_runs_one_closed_form_and_one_closure(self, monkeypatch):
+        # the closure regenerates the closed form's congruence from its source
+        # cells, the one comparison of the two routes in a bundle
+        calls = {"_formula_blocks": 0, "_closure_labels": 0}
+
+        def counted(name, routine):
+            def spy(*args):
+                calls[name] += 1
+                return routine(*args)
+            return spy
+        for name in calls:
+            monkeypatch.setattr(grid, name, counted(name, getattr(grid, name)))
+        assert verify._check_prefix(7, (4, 2)) == (120, [])
+        assert calls == {"_formula_blocks": 120, "_closure_labels": 120}
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "_check_batch", lambda tasks: [["round_trip"] for _ in tasks])
@@ -502,19 +517,21 @@ class TestVerify:
         assert reports[0]["inputs"] == {"n": 5, "seed": 0}
 
     @pytest.mark.parametrize("build, failed", [
-        ("_phi0_parts", ["round_trip", "formula_oracle", "structural", "narrows_segments"]),
-        ("beta_from_perm", ["formula_oracle", "source_cells_regenerate"]),
+        ("_phi0_parts", ["round_trip", "formula_oracle", "source_cells_regenerate",
+                         "structural", "narrows_segments"]),
+        ("_regenerate", ["formula_oracle", "source_cells_regenerate"]),
     ])
     def test_an_unbuilt_input_fails_its_checks_alone(self, monkeypatch, build, failed):
-        # phi0's parts or the closure raise for (2, 3, 1) only, which fails
-        # the checks that read them for that permutation and no other check
+        # phi0's parts or the regeneration raise for (2, 3, 1) only, which
+        # fails the checks that read them for that permutation and no other
         original = getattr(grid, build)
+        # phi0's parts take the permutation, the regeneration its congruence
+        targets = (Permutation((2, 3, 1)), grid.beta_from_formula(grid.Grid(3), Permutation((2, 3, 1))))
 
-        def faulty(*args, **kwargs):
-            pi = next(a for a in args if isinstance(a, Permutation))
-            if pi.images == (2, 3, 1):
+        def faulty(arg):
+            if arg in targets:
                 raise RuntimeError("injected")
-            return original(*args, **kwargs)
+            return original(arg)
 
         monkeypatch.setattr(grid, build, faulty)
         tasks = [(n, images) for n in (1, 2, 3) for images in itertools.permutations(range(1, n + 1))]
@@ -546,12 +563,12 @@ class TestVerify:
                     raise extract.TrajectoryAmbiguous("injected")
                 return images_of(diagram)
             monkeypatch.setattr(extract, "_trajectory_images", faulty)
-        whole = sum(math.factorial(k) for k in range(1, 7))
+        # jobs of one permutation each, FREE_SUFFIX's, and one job a size
         reports = []
-        for workers, batch in ((1, verify.BATCH_SIZE), (2, verify.BATCH_SIZE),
-                               (3, verify.BATCH_SIZE), (1, 1), (2, 1), (1, whole), (2, whole)):
+        for workers, free in ((1, verify.FREE_SUFFIX), (2, verify.FREE_SUFFIX),
+                              (3, verify.FREE_SUFFIX), (1, 0), (2, 0), (1, 6), (2, 6)):
             monkeypatch.setattr(verify, "_usable_cpus", lambda workers=workers: workers)
-            monkeypatch.setattr(verify, "BATCH_SIZE", batch)
+            monkeypatch.setattr(verify, "FREE_SUFFIX", free)
             report = verify.run(6, 3, lambda message: None)
             report.pop("wall_time_s")
             reports.append(report)
@@ -614,6 +631,7 @@ class TestVerify:
         checks = json.loads(out)["checks"]
         assert len(checks) == len(verify.BUNDLE_CHECKS) + 5
         assert [(c["name"], c["details"]) for c in checks if not c["passed"]] == [
+            ("formula_oracle", "9 failures, first at (1, (1,))"),
             ("source_cells_regenerate", "9 failures, first at (1, (1,))")]
 
     def test_a_raising_check_fails_alone(self, capsys, monkeypatch):

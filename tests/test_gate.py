@@ -3,10 +3,11 @@ verify bundle calls must fail the checks listed for it.
 
 Each mutant replaces one production routine by a plausible fault, under
 every name the package binds it to, and ``verify.run(5, 0, note)`` runs in
-this process and in forked workers.  The expected failures, with their
-details, are those the per-permutation bundle gave before the bundles were
-checked in batches, so the batches change no answer of the gate.  The ideas
-follow DeMillo, Lipton & Sayward, *Hints on test data selection* (1978).
+this process and in forked workers, which must give the same failures,
+with the same details.  The bundle regenerates the closed form's congruence
+with its one closure, so a fault in the closed form or in the cell scan
+fails both the closure check and the regeneration check.  The ideas follow
+DeMillo, Lipton & Sayward, *Hints on test data selection* (1978).
 """
 from __future__ import annotations
 
@@ -68,6 +69,24 @@ def _returns_input(regenerate):
     return faulty
 
 
+def _closes_cells(regenerate, moved):
+    # regenerate whose closure takes moved(cells) in place of the source cells
+    def faulty(kappa):
+        cells, _ = regenerate(kappa)
+        pairs = grid._cell_pairs(kappa.n, moved(cells))
+        return cells, grid.GridCongruence(kappa.n, grid._closure_labels(kappa.n, pairs))
+    return faulty
+
+
+def _lower_cover_only(lattice_from_tops):
+    # of two incomparable upper covers, keeps the lower-numbered one
+    def faulty(n, labels, top_i, top_j):
+        lat = lattice_from_tops(n, labels, top_i, top_j)
+        order = sorted(range(lat.size), key=lat.height.__getitem__)
+        return lattice.FiniteLattice._from_covers_up([c[:1] for c in lat.covers_up], order)
+    return faulty
+
+
 # name: (module, routine, fault of the routine, the failed checks' details)
 MUTANTS = {
     "closure drops its last pair": (
@@ -77,6 +96,7 @@ MUTANTS = {
     "closed form splits a block": (grid, "_formula_blocks", _split_block, [
         ("round_trip", "153 failures, first at (1, (1,))"),
         ("formula_oracle", "153 failures, first at (1, (1,))"),
+        ("source_cells_regenerate", "153 failures, first at (1, (1,))"),
         ("structural", "153 failures, first at (1, (1,))"),
         ("narrows_segments", "153 failures, first at (1, (1,))"),
         ("pairwise_iso", "7 mismatches"),
@@ -84,7 +104,25 @@ MUTANTS = {
         ("group_realization", "33 failures"),
         ("random_round_trip", "raised NotSlimSemimodular: lattice is not semimodular")]),
     "cell scan drops the last source cell": (grid, "_cell_scan", _drop_last_source, [
+        ("formula_oracle", "153 failures, first at (1, (1,))"),
         ("source_cells_regenerate", "153 failures, first at (1, (1,))")]),
+    "regenerate closes all but its last source cell": (
+        grid, "_regenerate", lambda f: _closes_cells(f, lambda cells: cells[:-1]), [
+            ("formula_oracle", "153 failures, first at (1, (1,))"),
+            ("source_cells_regenerate", "153 failures, first at (1, (1,))")]),
+    "regenerate closes the transposed cells": (
+        grid, "_regenerate", lambda f: _closes_cells(f, lambda cells: [(j, i) for i, j in cells]), [
+            ("formula_oracle", "110 failures, first at (3, (2, 3, 1))"),
+            ("source_cells_regenerate", "110 failures, first at (3, (2, 3, 1))")]),
+    "cover builder keeps the lower of two incomparable covers": (
+        grid, "_lattice_from_tops", _lower_cover_only, [
+            ("round_trip", "148 failures, first at (2, (2, 1))"),
+            ("structural", "148 failures, first at (2, (2, 1))"),
+            ("narrows_segments", "148 failures, first at (2, (2, 1))"),
+            ("pairwise_iso", "8 mismatches"),
+            ("diagram_count", "raised IndexError: tuple index out of range"),
+            ("group_realization", "29 failures"),
+            ("random_round_trip", "raised OutOfRange: value 0 outside 1..6")]),
     "trajectories swap two images": (
         extract, "_trajectory_images", lambda f: lambda d: _swap_two(f(d)), [
             ("round_trip", "152 failures, first at (2, (1, 2))"),
@@ -154,10 +192,19 @@ def test_mutant_fails_its_checks(monkeypatch, mutant, workers):
     assert _failures(monkeypatch, workers) == expected
 
 
+def test_forked_map_dropping_the_last_result_is_an_error(monkeypatch):
+    # the last job is the one of size 1; a report without it is never a pass
+    _patch_routine(monkeypatch, verify, "_forked_map",
+                   lambda f: lambda jobs, workers: f(jobs, workers)[:-1])
+    with pytest.raises(RuntimeError, match="^152 of 153 permutation bundles were checked$"):
+        _failures(monkeypatch, 2)
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "regenerate tests nothing of its own: on a congruence whose source cells"
-    " are pi's graph it closes the same pairs, in the same order, as"
-    " beta_from_perm (the FOUND note on regenerate in CHANGES.md; ROADMAP item 4)"))
+    "an equivalent mutant: the bundle regenerates the closed form's congruence,"
+    " which is cover-preserving and collapses no boundary edge, and by the"
+    " regeneration lemma such a congruence is generated by its source cells,"
+    " so the correct routine returns its input too (ROADMAP item 5)"))
 def test_regenerate_returning_its_input_is_caught(monkeypatch):
     _patch_routine(monkeypatch, grid, "_regenerate", _returns_input)
     assert _failures(monkeypatch, 1) != []

@@ -63,6 +63,12 @@ class TestBuild:
         with pytest.raises(groups.NotPrime):
             csl_build((2, 9), Permutation((1, 2)))
 
+    @pytest.mark.parametrize("prime", [3.0, True, "3", [3]])
+    def test_a_prime_that_is_not_an_int(self, prime):
+        first_primes(2)  # 3 in the primality memo, which answers 3.0 as 3
+        with pytest.raises(groups.NotPrime, match="is not an int$"):
+            csl_build([2, prime], Permutation((2, 1)))
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             csl_build((2, 3), Permutation((1,)))

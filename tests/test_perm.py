@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from slimlat import perm
+from slimlat import grid, groups, perm
 from slimlat.perm import Permutation
 
 SIGMA_THREE_SEGMENTS = Permutation((1, 7, 4, 5, 3, 6, 2, 9, 8))
@@ -298,6 +298,12 @@ class TestRestrictionAndCycles:
         lambda: perm.rho_equivalent(Permutation((2, 1)), (2, 1)),
         lambda: perm.is_involution_on((2, 1), 1, 2),
         lambda: perm.is_closed((2, 1), [1, 2]),
+        lambda: grid.phi0((2, 1)),
+        lambda: grid.heuristic_layout((2, 1)),
+        lambda: grid.beta_from_perm(grid.Grid(2), (2, 1)),
+        lambda: grid.beta_from_formula(grid.Grid(2), (2, 1)),
+        lambda: grid.beta_formula(2, (2, 1), ((0, 0), (1, 0))),
+        lambda: groups.csl_build((2, 3), (2, 1)),
     ])
     def test_refuses_a_tuple_for_a_permutation(self, call):
         with pytest.raises(TypeError, match="^expected a Permutation, got tuple$"):
