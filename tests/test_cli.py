@@ -526,7 +526,8 @@ class TestVerify:
         # fails the checks that read them for that permutation and no other
         original = getattr(grid, build)
         # phi0's parts take the permutation, the regeneration its congruence
-        targets = (Permutation((2, 3, 1)), grid.beta_from_formula(grid.Grid(3), Permutation((2, 3, 1))))
+        pi = Permutation((2, 3, 1))
+        targets = (pi, grid.beta_from_formula(grid.Grid(3), pi))
 
         def faulty(arg):
             if arg in targets:

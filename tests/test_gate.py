@@ -111,7 +111,7 @@ MUTANTS = {
             ("formula_oracle", "153 failures, first at (1, (1,))"),
             ("source_cells_regenerate", "153 failures, first at (1, (1,))")]),
     "regenerate closes the transposed cells": (
-        grid, "_regenerate", lambda f: _closes_cells(f, lambda cells: [(j, i) for i, j in cells]), [
+        grid, "_regenerate", lambda f: _closes_cells(f, lambda cells: [c[::-1] for c in cells]), [
             ("formula_oracle", "110 failures, first at (3, (2, 3, 1))"),
             ("source_cells_regenerate", "110 failures, first at (3, (2, 3, 1))")]),
     "cover builder keeps the lower of two incomparable covers": (
